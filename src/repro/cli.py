@@ -105,7 +105,8 @@ from repro.core.report import (
     render_overall,
     render_tradeoffs,
 )
-from repro.core.runner import run_simulated_study
+from repro.core.runner import (run_simulated_study, segment_records,
+                               stream_record)
 from repro.devices.catalog import DEVICE_NAMES, list_devices
 from repro.engine import BACKEND_NAMES, create_backend, set_default_backend
 
@@ -255,41 +256,13 @@ def _print_scenario_outcome(outcome) -> None:
               "recurring phases)")
 
 
-def _scenario_records(outcome, *, model: str, method: str,
-                      batch_size: int, guarded: bool) -> "StudyResult":
-    """A scenario outcome as study-result records (aggregate + segments)."""
-    from repro.core.records import MeasurementRecord, StudyResult
-
-    card = outcome.scorecard
-    records = [MeasurementRecord(
-        model=model, method=method, batch_size=batch_size, device="host",
-        error_pct=card.effective_error_pct,
-        forward_time_s=card.wall_time_s / max(card.batches_total, 1),
-        energy_j=float("nan"),
-        faults_injected=card.faults_injected, rollbacks=card.rollbacks,
-        degraded_batches=card.degraded_batches,
-        fallback_frames=card.fallback_frames, guarded=guarded,
-        scenario=outcome.scenario)]
-    for segment in outcome.segments:
-        records.append(MeasurementRecord(
-            model=model, method=method, batch_size=batch_size,
-            device="host",
-            error_pct=(segment.error_pct if segment.frames
-                       else float("nan")),
-            forward_time_s=float("nan"), energy_j=float("nan"),
-            corruption=segment.corruption,
-            rollbacks=segment.rollbacks,
-            degraded_batches=segment.degraded_batches,
-            fallback_frames=segment.fallback_frames, guarded=guarded,
-            scenario=outcome.scenario, segment=segment.ordinal))
-    return StudyResult(records)
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.core.executor import CellSpec
     from repro.data.stream import CorruptionStream
     from repro.data.synthetic import make_synth_cifar
     from repro.models import build_model
-    from repro.robustness import run_guarded_stream
+    from repro.scenarios import ScenarioOutcome, ScenarioStream
+    from repro.serve.session import AdaptationSession, run_stream
     from repro.train.trainer import pretrain_robust
 
     scenario_spec = None
@@ -305,44 +278,32 @@ def _cmd_stream(args: argparse.Namespace) -> int:
               "accuracy); guard/fault mechanics are exercised either way")
     data = make_synth_cifar(args.frames, size=16, seed=args.seed + 12345)
     if scenario_spec is not None:
-        from repro.scenarios import ScenarioStream, run_scenario_stream
         stream = ScenarioStream.from_dataset(data, scenario_spec,
                                              seed=args.seed)
-        outcome = run_scenario_stream(
-            model, args.method, stream, batch_size=args.batch_size,
-            guard=args.guard, faults=args.faults, seed=args.seed,
-            fps=args.fps)
-        print(outcome.scorecard.describe())
-        _print_scenario_outcome(outcome)
-        if args.json:
-            from repro.core.io import save_json
-            save_json(_scenario_records(
-                outcome, model=args.model, method=args.method,
-                batch_size=args.batch_size, guarded=bool(args.guard)),
-                args.json)
-            print(f"wrote {args.json}")
-        return 0
-    stream = CorruptionStream.from_dataset(data, args.corruption,
-                                           severity=args.severity,
-                                           seed=args.seed)
-    card = run_guarded_stream(model, args.method,
-                              stream.batches(args.batch_size),
-                              guard=args.guard, faults=args.faults,
-                              seed=args.seed, fps=args.fps)
+        schedule = stream.schedule
+    else:
+        stream = CorruptionStream.from_dataset(data, args.corruption,
+                                               severity=args.severity,
+                                               seed=args.seed)
+        schedule = None
+    session = AdaptationSession(model, args.method, guard=args.guard,
+                                fps=args.fps)
+    stats = run_stream(session, stream.batches(args.batch_size),
+                       faults=args.faults, seed=args.seed, schedule=schedule)
+    card = session.scorecard()
     print(card.describe())
+    spec = CellSpec(key=f"{args.model}/{args.method}/{args.batch_size}",
+                    model=args.model, method=args.method,
+                    batch_size=args.batch_size, guarded=bool(args.guard))
+    if schedule is None:
+        records = [stream_record(spec, card, corruption=args.corruption)]
+    else:
+        outcome = ScenarioOutcome.from_run(schedule, card, stats)
+        _print_scenario_outcome(outcome)
+        records = [stream_record(spec, card), *segment_records(spec, outcome)]
     if args.json:
         from repro.core.io import save_json
-        from repro.core.records import MeasurementRecord, StudyResult
-        record = MeasurementRecord(
-            model=args.model, method=args.method,
-            batch_size=args.batch_size, device="host",
-            error_pct=card.effective_error_pct,
-            forward_time_s=card.wall_time_s / max(card.batches_total, 1),
-            energy_j=float("nan"), corruption=args.corruption,
-            faults_injected=card.faults_injected, rollbacks=card.rollbacks,
-            degraded_batches=card.degraded_batches,
-            fallback_frames=card.fallback_frames, guarded=bool(args.guard))
-        save_json(StudyResult([record]), args.json)
+        save_json(StudyResult(records), args.json)
         print(f"wrote {args.json}")
     return 0
 

@@ -10,6 +10,10 @@ paper's experiments:
   (full-size model graphs through the device cost models; all
   latency/energy/memory figures) and ``native`` (tiny-profile models
   actually executed on the numpy engine; accuracy figures).
+- :mod:`repro.core.executor` —
+  :class:`~repro.core.executor.ResilientExecutor`, which drives the
+  native grid cell by cell with isolation, retries, a watchdog and
+  journal resume.
 - :mod:`repro.core.objectives` — the weighted multi-objective
   ``w1*time + w2*energy + w3*error`` with the paper's four weight cases
   and three normalization schemes.

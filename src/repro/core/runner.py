@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -24,9 +23,10 @@ import numpy as np
 
 from repro.adapt import build_method
 from repro.core.config import StudyConfig
-from repro.engine import create_backend, use_backend
+from repro.core.executor import CellSpec, ResilientExecutor
 from repro.core.records import MeasurementRecord, StudyResult
 from repro.core.reference import reference_error_pct
+from repro.core.streaming import StreamScorecard
 from repro.data.stream import CorruptionStream
 from repro.data.synthetic import make_synth_cifar
 from repro.devices.calibrate import METHOD_FLAGS
@@ -34,13 +34,15 @@ from repro.devices.catalog import device_info
 from repro.devices.cost_model import forward_latency
 from repro.devices.energy import energy_per_batch
 from repro.devices.memory import estimate_memory
+from repro.engine import create_backend, use_backend
 from repro.models.registry import build_model
 from repro.models.summary import ModelSummary, summarize
-from repro.resilience.executor import CellSpec, ResilientExecutor
 from repro.resilience.journal import RunJournal
-from repro.robustness.faults import FaultInjector, parse_fault_specs
+from repro.robustness.faults import parse_fault_specs
 from repro.robustness.guard import GuardedAdaptation
-from repro.serve.session import AdaptationSession
+from repro.scenarios.metrics import ScenarioOutcome
+from repro.scenarios.stream import ScenarioStream
+from repro.serve.session import AdaptationSession, run_stream
 from repro.train.trainer import pretrain_robust
 
 
@@ -156,7 +158,7 @@ def run_native_study(config: Optional[StudyConfig] = None,
 
     The grid is driven cell by cell (one cell per (model, method,
     batch size) over the full corruption set) through a
-    :class:`~repro.resilience.executor.ResilientExecutor`: a raising
+    :class:`~repro.core.executor.ResilientExecutor`: a raising
     cell becomes a ``status="failed"`` record and the sweep continues,
     ``config.max_retries``/``config.cell_timeout`` bound retries and
     per-cell wall time, and ``config.journal``/``config.resume`` make
@@ -235,9 +237,6 @@ def _build_streams(config: StudyConfig) -> List:
     test = make_synth_cifar(config.stream_samples, size=config.image_size,
                             seed=config.seed + 12345)
     if config.scenario:
-        # imported lazily: core stays importable without the scenario
-        # layer, which itself builds on core.streaming
-        from repro.scenarios.stream import ScenarioStream
         return [ScenarioStream.from_dataset(test, config.scenario,
                                             seed=config.seed)]
     return [CorruptionStream.from_dataset(test, corruption,
@@ -389,7 +388,8 @@ def _run_native_cell(config: StudyConfig, model, spec: CellSpec,
                      ) -> List[MeasurementRecord]:
     """Execute one isolated grid cell over the full corruption set.
 
-    Each corruption stream is driven through an
+    Each corruption stream is played by
+    :func:`~repro.serve.session.run_stream` through an
     :class:`~repro.serve.session.AdaptationSession` with the
     ``"always"``-restore policy: the session harvests the guard
     counters and then resets the method whether the stream finished or
@@ -406,109 +406,95 @@ def _run_native_cell(config: StudyConfig, model, spec: CellSpec,
     if config.scenario:
         return _run_scenario_cell(config, model, spec, streams[0],
                                   fault_specs, per_corruption, method)
-    records: List[MeasurementRecord] = []
-    errors = []
-    wall = 0.0
-    batches = 0
-    counters = np.zeros(4, dtype=int)   # faults, rollbacks,
-    #                                     degraded, fallback
+    cards: List[StreamScorecard] = []
     for stream_index, stream in enumerate(streams):
-        batch_iter = stream.batches(spec.batch_size)
-        injector = None
-        if fault_specs is not None:
-            injector = FaultInjector(
-                fault_specs,
-                seed=config.seed + 7919 * stream_index)
-            batch_iter = injector.inject(batch_iter)
-        with AdaptationSession(model, method,
-                               restore="always") as session:
-            for images, labels in batch_iter:
-                session.process_batch(images, labels)
-            session.faults_injected = (injector.faults_injected
-                                       if injector else 0)
-        wall += session.wall_time_s
-        batches += session.batches_total
-        stream_counters = np.array([
-            session.faults_injected, session.rollbacks,
-            session.degraded_batches, session.fallback_frames])
-        counters += stream_counters
-        # a stream shorter than the batch size yields zero samples;
-        # report NaN for it rather than dividing by zero
-        error = (100.0 * (1.0 - session.frames_correct
-                          / session.frames_processed)
-                 if session.frames_processed else float("nan"))
-        errors.append(error)
-        if per_corruption:
-            records.append(MeasurementRecord(
-                model=spec.model, method=spec.method,
-                batch_size=spec.batch_size, device=spec.device,
-                error_pct=error, forward_time_s=float("nan"),
-                energy_j=float("nan"),
-                corruption=stream.corruption,
-                backend=spec.backend,
-                faults_injected=int(stream_counters[0]),
-                rollbacks=int(stream_counters[1]),
-                degraded_batches=int(stream_counters[2]),
-                fallback_frames=int(stream_counters[3]),
-                guarded=config.guard))
-    scored = [e for e in errors if not math.isnan(e)]
-    records.append(MeasurementRecord(
-        model=spec.model, method=spec.method,
-        batch_size=spec.batch_size, device=spec.device,
-        error_pct=float(np.mean(scored)) if scored else float("nan"),
-        forward_time_s=wall / max(batches, 1),
-        energy_j=float("nan"), backend=spec.backend,
-        faults_injected=int(counters[0]),
-        rollbacks=int(counters[1]),
-        degraded_batches=int(counters[2]),
-        fallback_frames=int(counters[3]),
-        guarded=config.guard))
+        session = AdaptationSession(model, method, restore="always")
+        run_stream(session, stream.batches(spec.batch_size),
+                   faults=fault_specs,
+                   seed=config.seed + 7919 * stream_index)
+        cards.append(session.scorecard())
+    records = ([stream_record(spec, card, corruption=stream.corruption,
+                              timed=False)
+                for stream, card in zip(streams, cards)]
+               if per_corruption else [])
+    scored = [card.effective_error_pct for card in cards
+              if card.frames_processed]
+    records.append(_record(
+        spec, float(np.mean(scored)) if scored else float("nan"),
+        forward_time_s=(sum(card.wall_time_s for card in cards)
+                        / max(sum(card.batches_total for card in cards), 1)),
+        faults_injected=sum(card.faults_injected for card in cards),
+        rollbacks=sum(card.rollbacks for card in cards),
+        degraded_batches=sum(card.degraded_batches for card in cards),
+        fallback_frames=sum(card.fallback_frames for card in cards)))
     return records
 
 
 def _run_scenario_cell(config: StudyConfig, model, spec: CellSpec,
-                       stream, fault_specs, per_corruption: bool,
-                       method) -> List[MeasurementRecord]:
+                       stream: ScenarioStream, fault_specs,
+                       per_corruption: bool, method
+                       ) -> List[MeasurementRecord]:
     """One grid cell over a scenario stream instead of the corruption set.
 
-    The single stream is driven through the scenario harness with the
-    same episodic ``"always"``-restore contract as the corruption-grid
-    path; ``per_corruption=True`` emits one record per *shift segment*
-    (its ``corruption`` field carrying the segment's corruption and
+    The single stream is played with its schedule under the same
+    episodic ``"always"``-restore contract as the corruption-grid path;
+    ``per_corruption=True`` emits one record per *shift segment* (its
+    ``corruption`` field carrying the segment's corruption and
     ``segment`` its ordinal) instead of one per corruption type.
     """
-    from repro.scenarios.harness import run_scenario_stream
-
-    outcome = run_scenario_stream(
-        model, method, stream, batch_size=spec.batch_size,
-        guard=False,  # a guarded method is already wrapped above
-        faults=fault_specs, seed=config.seed, restore="always")
-    card = outcome.scorecard
-    records: List[MeasurementRecord] = []
-    if per_corruption:
-        for segment in outcome.segments:
-            records.append(MeasurementRecord(
-                model=spec.model, method=spec.method,
-                batch_size=spec.batch_size, device=spec.device,
-                error_pct=(segment.error_pct if segment.frames
-                           else float("nan")),
-                forward_time_s=float("nan"), energy_j=float("nan"),
-                corruption=segment.corruption, backend=spec.backend,
-                rollbacks=segment.rollbacks,
-                degraded_batches=segment.degraded_batches,
-                fallback_frames=segment.fallback_frames,
-                guarded=config.guard, scenario=outcome.scenario,
-                segment=segment.ordinal))
-    records.append(MeasurementRecord(
-        model=spec.model, method=spec.method,
-        batch_size=spec.batch_size, device=spec.device,
-        error_pct=(card.effective_error_pct if card.frames_processed
-                   else float("nan")),
-        forward_time_s=card.wall_time_s / max(card.batches_total, 1),
-        energy_j=float("nan"), backend=spec.backend,
-        faults_injected=card.faults_injected,
-        rollbacks=card.rollbacks,
-        degraded_batches=card.degraded_batches,
-        fallback_frames=card.fallback_frames,
-        guarded=config.guard, scenario=outcome.scenario))
+    session = AdaptationSession(model, method, restore="always")
+    stats = run_stream(session, stream.batches(spec.batch_size),
+                       faults=fault_specs, seed=config.seed,
+                       schedule=stream.schedule)
+    outcome = ScenarioOutcome.from_run(stream.schedule, session.scorecard(),
+                                       stats)
+    records = segment_records(spec, outcome) if per_corruption else []
+    records.append(stream_record(spec, outcome.scorecard))
     return records
+
+
+# ----------------------------------------------------------------------
+# Measured records (shared with the ``stream`` CLI)
+# ----------------------------------------------------------------------
+
+def _record(spec: CellSpec, error_pct: float, *,
+            forward_time_s: float = float("nan"),
+            **fields) -> MeasurementRecord:
+    """A host-measured record at ``spec``'s grid point (no energy)."""
+    return MeasurementRecord(
+        model=spec.model, method=spec.method, batch_size=spec.batch_size,
+        device=spec.device, error_pct=error_pct,
+        forward_time_s=forward_time_s, energy_j=float("nan"),
+        backend=spec.backend, guarded=spec.guarded, **fields)
+
+
+def stream_record(spec: CellSpec, card: StreamScorecard, *,
+                  corruption: str = "", timed: bool = True
+                  ) -> MeasurementRecord:
+    """One stream's scorecard as a study record.
+
+    A stream shorter than the batch size scores no frames; its error is
+    NaN rather than a division by zero.  ``timed=False`` leaves
+    ``forward_time_s`` NaN, as on per-corruption records, whose cell
+    record carries the time.
+    """
+    return _record(
+        spec, (card.effective_error_pct if card.frames_processed
+               else float("nan")),
+        forward_time_s=(card.wall_time_s / max(card.batches_total, 1)
+                        if timed else float("nan")),
+        corruption=corruption, faults_injected=card.faults_injected,
+        rollbacks=card.rollbacks, degraded_batches=card.degraded_batches,
+        fallback_frames=card.fallback_frames, scenario=card.scenario)
+
+
+def segment_records(spec: CellSpec, outcome: ScenarioOutcome
+                    ) -> List[MeasurementRecord]:
+    """One record per shift segment of a scenario run (untimed)."""
+    return [_record(
+        spec, segment.error_pct if segment.frames else float("nan"),
+        corruption=segment.corruption, rollbacks=segment.rollbacks,
+        degraded_batches=segment.degraded_batches,
+        fallback_frames=segment.fallback_frames,
+        scenario=outcome.scenario, segment=segment.ordinal)
+        for segment in outcome.segments]

@@ -26,27 +26,19 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core.reference import reference_error_pct
+from repro.devices.calibrate import METHOD_FLAGS
 from repro.devices.cost_model import forward_latency
 from repro.devices.energy import energy_per_batch
 from repro.devices.memory import estimate_memory
 from repro.devices.spec import DeviceSpec
 from repro.models.summary import ModelSummary
-
-#: method name -> (adapts_bn_stats, does_backward)
-_METHOD_FLAGS = {
-    "no_adapt": (False, False),
-    "bn_norm": (True, False),
-    "bn_opt": (True, True),
-}
-
-#: faults that corrupt BN running statistics — mirrors
-#: repro.robustness.faults.POISONING_FAULTS, kept literal here so core
-#: never imports robustness (tests cross-check the two stay equal)
-_POISONING_FAULT_NAMES = frozenset({"nan", "inf", "constant", "wrong_range"})
+from repro.robustness.faults import POISONING_FAULTS
+from repro.robustness.guard import LADDER
+from repro.scenarios.schedule import ScenarioSchedule, as_schedule
 
 #: rollbacks a guarded poisoning batch costs = ladder rungs tried before
 #: the uniform fallback answers it (bn_opt -> bn_norm -> no_adapt)
-_LADDER_DEPTH = {"no_adapt": 1, "bn_norm": 2, "bn_opt": 3}
+_LADDER_DEPTH = {name: len(LADDER) - LADDER.index(name) for name in LADDER}
 
 
 @dataclass(frozen=True)
@@ -179,9 +171,9 @@ def simulate_realtime(summary: ModelSummary, device: DeviceSpec,
     severity ramps change the scorecard's ``scenario`` stamp but not its
     analytic numbers (the *native* scenario harness measures those).
     """
-    if method not in _METHOD_FLAGS:
+    if method not in METHOD_FLAGS:
         raise KeyError(f"unknown method {method!r}")
-    adapts, backward = _METHOD_FLAGS[method]
+    adapts, backward = METHOD_FLAGS[method]
     memory = estimate_memory(summary, stream.batch_size, device,
                              does_backward=backward)
     if not memory.fits:
@@ -206,8 +198,6 @@ def simulate_realtime(summary: ModelSummary, device: DeviceSpec,
     frozen_service = service_time
     frozen_energy = batch_energy
     if scenario is not None:
-        # imported lazily: the scenario layer builds on this module
-        from repro.scenarios.schedule import ScenarioSchedule, as_schedule
         schedule = scenario if isinstance(scenario, ScenarioSchedule) \
             else as_schedule(scenario, seed=scenario_seed)
         frozen = forward_latency(summary, stream.batch_size, device,
@@ -216,7 +206,7 @@ def simulate_realtime(summary: ModelSummary, device: DeviceSpec,
         frozen_energy = energy_per_batch(frozen, device)
 
     fault_batches = dict(fault_batches or {})
-    poisoning = _POISONING_FAULT_NAMES if fault_batches else frozenset()
+    poisoning = POISONING_FAULTS if fault_batches else frozenset()
 
     num_batches = stream.num_frames // stream.batch_size
     device_free_at = 0.0
@@ -325,7 +315,7 @@ def max_sustainable_fps(summary: ModelSummary, device: DeviceSpec,
     The device keeps up iff the per-batch service time does not exceed
     the batch arrival period: ``fps <= batch_size / service_time``.
     """
-    adapts, backward = _METHOD_FLAGS[method]
+    adapts, backward = METHOD_FLAGS[method]
     latency = forward_latency(summary, batch_size, device,
                               adapts_bn_stats=adapts, does_backward=backward)
     return batch_size / latency.forward_time_s

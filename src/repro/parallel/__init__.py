@@ -13,7 +13,7 @@ execution contract to N worker processes:
   deterministic cells;
 - :mod:`repro.parallel.worker` — the worker-process entry point; drives
   cells through the *same* attempt loop as the serial executor
-  (:func:`repro.resilience.executor.run_cell_attempts`) and seeds
+  (:func:`repro.core.executor.run_cell_attempts`) and seeds
   deterministically from each cell key;
 - :mod:`repro.parallel.filelock` — advisory inter-process
   :class:`FileLock`, used by the shared pretrain-checkpoint cache so N
@@ -21,7 +21,7 @@ execution contract to N worker processes:
 
 Select it from the study config (``StudyConfig.workers``) or the CLI
 (``python -m repro native --workers N``); ``workers=0`` keeps the
-serial :class:`~repro.resilience.executor.ResilientExecutor` path.
+serial :class:`~repro.core.executor.ResilientExecutor` path.
 """
 
 from repro.parallel.filelock import FileLock, FileLockTimeout

@@ -4,7 +4,7 @@ A worker is a plain ``multiprocessing`` process (``spawn`` start method,
 so it never inherits interpreter state it should not) that pulls
 :class:`CellTask`s off the shared task queue, drives each one through
 the *same* attempt loop as the serial executor
-(:func:`repro.resilience.executor.run_cell_attempts` — bounded retries,
+(:func:`repro.core.executor.run_cell_attempts` — bounded retries,
 seeded backoff, soft-deadline watchdog), and forwards every journal
 event to the parent through the single-writer event queue.  Workers
 never touch the journal file themselves; the parent is the only writer.
@@ -35,7 +35,7 @@ from typing import Any, Callable, List
 import numpy as np
 
 from repro.core.records import MeasurementRecord
-from repro.resilience.executor import (CellSpec, RetryPolicy,
+from repro.core.executor import (CellSpec, RetryPolicy,
                                        run_cell_attempts)
 
 #: a cell runner: module-level callable of (payload, spec) -> records

@@ -13,19 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.devices.calibrate import METHOD_FLAGS
 from repro.devices.cost_model import forward_latency
 from repro.engine import ArenaStats
 from repro.devices.memory import PROFILER_OVERHEAD, estimate_memory
 from repro.devices.spec import DeviceSpec
 from repro.models.summary import ModelSummary
-
-#: method name -> (adapts_bn_stats, does_backward); kept here to avoid a
-#: dependency cycle with repro.adapt.
-_METHOD_FLAGS = {
-    "no_adapt": (False, False),
-    "bn_norm": (True, False),
-    "bn_opt": (True, True),
-}
 
 
 class ProfilerOOM(RuntimeError):
@@ -58,9 +51,9 @@ def breakdown_for(summary: ModelSummary, device: DeviceSpec, method: str,
     Raises :class:`ProfilerOOM` when attaching the profiler would exceed
     the device memory budget (the paper's ResNeXt-on-Ultra96 case).
     """
-    if method not in _METHOD_FLAGS:
+    if method not in METHOD_FLAGS:
         raise KeyError(f"unknown method {method!r}")
-    adapts, backward = _METHOD_FLAGS[method]
+    adapts, backward = METHOD_FLAGS[method]
     if check_profiler_memory:
         estimate = estimate_memory(summary, batch_size, device,
                                    does_backward=backward, profiling=True)

@@ -8,16 +8,11 @@ batches (which :mod:`repro.robustness` already guards):
   a crash never leaves a half-written artifact;
 - :mod:`repro.resilience.journal` — an append-only JSONL run journal
   whose recovery scanner tolerates the truncated trailing line a
-  mid-write kill produces;
-- :mod:`repro.resilience.executor` — :class:`ResilientExecutor`: drives
-  the native grid cell by cell with exception isolation, a soft-deadline
-  watchdog, bounded seeded-backoff retries, and journal-based resume
-  (``resume=True`` replays completed cells bit-identically instead of
-  re-executing them).
+  mid-write kill produces.
 
-``executor`` is imported lazily (PEP 562): it depends on
-:mod:`repro.core.io`, which itself uses :mod:`repro.resilience.atomic`
-for atomic saves — eager import here would close that cycle.
+The study-grid executor that drives cells through these primitives
+(:class:`~repro.core.executor.ResilientExecutor`) lives with the study
+runner in :mod:`repro.core`.
 """
 
 from repro.resilience.atomic import (
@@ -33,11 +28,6 @@ from repro.resilience.journal import (
     scan_journal,
 )
 
-_EXECUTOR_NAMES = ("CellFn", "CellSpec", "CellTimeoutError",
-                   "ExecutorStats", "ResilientExecutor", "RetryPolicy",
-                   "call_with_deadline", "make_failed_record",
-                   "recover_completed", "run_cell_attempts")
-
 __all__ = [
     "atomic_path",
     "atomic_write_bytes",
@@ -47,12 +37,4 @@ __all__ = [
     "JournalScan",
     "RunJournal",
     "scan_journal",
-    *_EXECUTOR_NAMES,
 ]
-
-
-def __getattr__(name: str):
-    if name in _EXECUTOR_NAMES:
-        from repro.resilience import executor
-        return getattr(executor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

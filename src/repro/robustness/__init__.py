@@ -11,10 +11,13 @@ best-case-only:
   wrong-range inputs, truncated batches, duplicated frames);
 - :mod:`repro.robustness.guard` — :class:`GuardedAdaptation`: per-batch
   BN snapshots, label-free health checks, bit-identical rollback and a
-  ``bn_opt -> bn_norm -> no_adapt`` degradation ladder with cooldown;
-- :mod:`repro.robustness.harness` — :func:`run_guarded_stream`, the
-  native end-to-end runner producing a guard-annotated
-  :class:`~repro.core.streaming.StreamScorecard`.
+  ``bn_opt -> bn_norm -> no_adapt`` degradation ladder with cooldown.
+
+Streams are played through both by the one stream driver,
+:func:`repro.serve.session.run_stream`: it wraps the batches in a
+:class:`FaultInjector`, and an
+:class:`~repro.serve.session.AdaptationSession` built with
+``guard=True`` runs the method under :class:`GuardedAdaptation`.
 """
 
 from repro.robustness.faults import (
@@ -25,9 +28,8 @@ from repro.robustness.faults import (
     FaultSchedule,
     FaultSpec,
     apply_fault,
-    known_fault_names,
+    check_fault_names,
     parse_fault_specs,
-    register_fault_names,
 )
 from repro.robustness.guard import (
     LADDER,
@@ -35,7 +37,6 @@ from repro.robustness.guard import (
     GuardedAdaptation,
     GuardEvent,
 )
-from repro.robustness.harness import run_guarded_stream
 
 __all__ = [
     "FAULT_NAMES",
@@ -45,12 +46,10 @@ __all__ = [
     "FaultSchedule",
     "FaultSpec",
     "apply_fault",
-    "known_fault_names",
+    "check_fault_names",
     "parse_fault_specs",
-    "register_fault_names",
     "LADDER",
     "GuardConfig",
     "GuardedAdaptation",
     "GuardEvent",
-    "run_guarded_stream",
 ]

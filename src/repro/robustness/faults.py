@@ -28,7 +28,6 @@ benign for correctness but stress batch-size assumptions.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -40,31 +39,6 @@ FAULT_NAMES = ("nan", "inf", "constant", "wrong_range",
 
 #: faults that corrupt BN running statistics of an unguarded method
 POISONING_FAULTS = frozenset({"nan", "inf", "constant", "wrong_range"})
-
-# additional taxonomies registered by other layers (e.g. the serve
-# chaos proxy's network faults) so they share the FaultSpec grammar and
-# the seeded FaultSchedule without this module knowing their semantics
-_EXTRA_FAULTS_LOCK = threading.Lock()
-_EXTRA_FAULT_NAMES: set = set()
-
-
-def register_fault_names(names: Iterable[str]) -> None:
-    """Extend the spec grammar with another layer's fault taxonomy.
-
-    The names become parseable/constructible in :class:`FaultSpec`
-    (``"disconnect:0.1"`` works once the chaos proxy registers its
-    network faults) but gain no batch-level *application* semantics:
-    :func:`apply_fault` still only knows the batch taxonomy above.
-    """
-    with _EXTRA_FAULTS_LOCK:
-        _EXTRA_FAULT_NAMES.update(names)
-
-
-def known_fault_names() -> Tuple[str, ...]:
-    """Every currently-registered fault name (batch taxonomy first)."""
-    with _EXTRA_FAULTS_LOCK:
-        extra = sorted(_EXTRA_FAULT_NAMES - set(FAULT_NAMES))
-    return FAULT_NAMES + tuple(extra)
 
 
 @dataclass(frozen=True)
@@ -86,6 +60,10 @@ class FaultSpec:
     - ``"nan:0.2"``   — NaN fault with probability 0.2 per batch;
     - ``"constant@3"`` — constant fault exactly at batch 3;
     - ``"inf@2+5"``    — Inf fault at batches 2 and 5.
+
+    The grammar is shared by every fault namespace; which names are
+    valid is the consumer's call (:data:`FAULT_NAMES` for batch
+    streams, the serve layer's network taxonomy for its chaos proxy).
     """
 
     fault: str
@@ -93,14 +71,14 @@ class FaultSpec:
     at: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.fault not in known_fault_names():
-            raise ValueError(f"unknown fault {self.fault!r}; "
-                             f"choose from {known_fault_names()}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
 
     @classmethod
-    def parse(cls, text: str) -> "FaultSpec":
+    def parse(cls, text: str, names: Tuple[str, ...] = FAULT_NAMES,
+              kind: str = "batch") -> "FaultSpec":
+        """Parse one spec whose fault must be in the ``kind`` namespace
+        ``names``."""
         text = text.strip()
         if "@" in text:
             name, _, indices = text.partition("@")
@@ -109,19 +87,33 @@ class FaultSpec:
             except ValueError:
                 raise ValueError(f"bad fault spec {text!r}: indices after "
                                  "'@' must be integers (join with '+')")
-            return cls(fault=name, at=at)
-        if ":" in text:
+            spec = cls(fault=name, at=at)
+        elif ":" in text:
             name, _, rate = text.partition(":")
-            return cls(fault=name, rate=float(rate))
-        return cls(fault=text, rate=1.0)
+            spec = cls(fault=name, rate=float(rate))
+        else:
+            spec = cls(fault=text, rate=1.0)
+        check_fault_names((spec,), names, kind)
+        return spec
 
 
-def parse_fault_specs(text: str) -> Tuple[FaultSpec, ...]:
+def check_fault_names(specs: Iterable[FaultSpec],
+                      names: Tuple[str, ...] = FAULT_NAMES,
+                      kind: str = "batch") -> None:
+    """Refuse any spec naming a fault outside the ``kind`` namespace."""
+    for spec in specs:
+        if spec.fault not in names:
+            raise ValueError(f"unknown fault {spec.fault!r}: not a {kind} "
+                             f"fault; choose from {names}")
+
+
+def parse_fault_specs(text: str, names: Tuple[str, ...] = FAULT_NAMES,
+                      kind: str = "batch") -> Tuple[FaultSpec, ...]:
     """Parse a comma-separated fault-spec string (CLI ``--faults``)."""
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty fault specification")
-    return tuple(FaultSpec.parse(p) for p in parts)
+    return tuple(FaultSpec.parse(p, names, kind) for p in parts)
 
 
 class FaultSchedule:
@@ -236,6 +228,7 @@ class FaultInjector:
 
     def __init__(self, specs: Sequence[FaultSpec], seed: int = 0):
         self.schedule = FaultSchedule(specs, seed=seed)
+        check_fault_names(self.schedule.specs)
         self.events: List[FaultEvent] = []
         self.batches_seen = 0
 

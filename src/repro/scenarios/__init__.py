@@ -4,7 +4,7 @@ The study grid evaluates i.i.d. single-corruption batches; this package
 generates *deployment-shaped* traffic — Markov-switching corruptions,
 recurring cyclic shifts, severity ramps, class-imbalanced batches, and
 budgeted adaptation windows — as seeded, fingerprinted schedules that
-plug into the stream harness, the study runner, and the serve layer.
+plug into the stream driver, the study runner, and the serve layer.
 
 Layers (each importable on its own):
 
@@ -15,15 +15,20 @@ Layers (each importable on its own):
   :class:`Segment` structure;
 - :mod:`repro.scenarios.stream` — :class:`ScenarioStream`, a dataset
   played through a schedule (drop-in batch source);
-- :mod:`repro.scenarios.metrics` — per-phase :class:`SegmentCard`
-  aggregation and the recurrence forgetting metric;
-- :mod:`repro.scenarios.harness` — :func:`run_scenario_stream`, the
-  end-to-end driver returning a :class:`ScenarioOutcome`.
+- :mod:`repro.scenarios.metrics` — per-batch :class:`BatchStats`,
+  per-phase :class:`SegmentCard` aggregation, the recurrence forgetting
+  metric, and :class:`ScenarioOutcome`.
+
+A scenario run is a plain stream run:
+:func:`~repro.serve.session.run_stream` plays ``stream.batches(...)``
+with ``schedule=stream.schedule``, which gates adaptation per batch
+under ``budgeted``, and returns per-batch stats;
+:meth:`ScenarioOutcome.from_run` segments them afterwards.
 """
 
-from repro.scenarios.harness import ScenarioOutcome, run_scenario_stream
 from repro.scenarios.metrics import (
     BatchStats,
+    ScenarioOutcome,
     SegmentCard,
     recurrence_forgetting,
     segment_cards,
@@ -58,6 +63,5 @@ __all__ = [
     "as_schedule",
     "parse_scenario_spec",
     "recurrence_forgetting",
-    "run_scenario_stream",
     "segment_cards",
 ]

@@ -12,24 +12,36 @@ worse is the revisit than the first encounter?  Positive forgetting
 means the interleaved phases erased what the method had gained —
 exactly the continual-adaptation failure mode BoTTA's scenario axis is
 designed to surface.
+
+Segmenting is a post-pass: :func:`repro.serve.session.run_stream`
+returns one :class:`BatchStats` per batch, and
+:meth:`ScenarioOutcome.from_run` folds them into the schedule's
+segments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.scenarios.schedule import Segment
+from repro.scenarios.schedule import ScenarioSchedule, Segment
+
+if TYPE_CHECKING:
+    # annotation only: the scorecard arrives built, and importing
+    # repro.core here would load the study runner, which needs this
+    # module's BatchStats
+    from repro.core.streaming import StreamScorecard
 
 
 @dataclass(frozen=True)
 class BatchStats:
     """One processed batch's observations, before segmentation.
 
-    Guard counters are *deltas* over this batch (the session exposes
-    running totals; the harness differences them), so segment cards sum
-    exactly to the whole-stream scorecard.
+    :meth:`~repro.serve.session.AdaptationSession.process_batch` returns
+    one per batch.  Guard counters are *deltas* over this batch (the
+    session keeps the running totals), so segment cards sum exactly to
+    the whole-stream scorecard.
     """
 
     index: int
@@ -151,3 +163,37 @@ def recurrence_forgetting(cards: Sequence[SegmentCard]) -> float:
     if not deltas:
         return math.nan
     return sum(deltas) / len(deltas)
+
+
+@dataclass(frozen=True)
+class ScenarioOutcome:
+    """What one scenario run produced: whole-stream card + per-phase slices."""
+
+    scenario: str
+    seed: int
+    scorecard: StreamScorecard
+    segments: Tuple[SegmentCard, ...] = field(default=())
+
+    @classmethod
+    def from_run(cls, schedule: ScenarioSchedule, scorecard: StreamScorecard,
+                 stats: Sequence[BatchStats]) -> "ScenarioOutcome":
+        """Segment a finished run's per-batch stats along ``schedule``."""
+        return cls(scenario=schedule.label, seed=schedule.seed,
+                   scorecard=scorecard,
+                   segments=tuple(segment_cards(
+                       schedule.segments(len(stats)), stats)))
+
+    @property
+    def forgetting(self) -> float:
+        """Recurrence forgetting over this run's segments (nan if none)."""
+        return recurrence_forgetting(self.segments)
+
+    def to_dict(self) -> dict:
+        forgetting = self.forgetting
+        return {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "scorecard": asdict(self.scorecard),
+            "segments": [card.to_dict() for card in self.segments],
+            "forgetting": None if math.isnan(forgetting) else forgetting,
+        }

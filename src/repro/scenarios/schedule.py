@@ -166,6 +166,9 @@ class ScenarioSchedule:
 
     def segments(self, num_batches: int) -> List[Segment]:
         """Contiguous (corruption, severity) phases of a finite prefix."""
+        if num_batches <= 0:
+            raise ValueError(
+                f"num_batches must be positive, got {num_batches}")
         plans = self.plan(num_batches)
         segments: List[Segment] = []
         visits: Dict[Tuple[str, int], int] = {}

@@ -5,9 +5,12 @@ edge box; this package is that runtime.  It has two halves:
 
 - :class:`~repro.serve.session.AdaptationSession` — the adaptation
   lifecycle (prepare, guarded per-batch forward, scoring, teardown,
-  checkpoint/resume) as one reusable object.  The batch-study runner
-  and the robustness harness drive their streams through it, so the
-  daemon serves *exactly* the code path the experiments measure.
+  checkpoint/resume) as one reusable object, and
+  :func:`~repro.serve.session.run_stream`, the one driver that plays a
+  whole stream through it (fault injection, scenario adapt-gating,
+  per-batch stats).  The ``stream`` CLI and the native study runner's
+  cells call ``run_stream``, so the daemon serves *exactly* the code
+  path the experiments measure.
 - The daemon stack — :class:`~repro.serve.manager.SessionManager`,
   :class:`~repro.serve.daemon.ServeDaemon`,
   :class:`~repro.serve.client.ServeClient` and the wire protocol
@@ -18,10 +21,11 @@ edge box; this package is that runtime.  It has two halves:
 Long-lived operation is hardened and *tested under adversity*:
 :mod:`repro.serve.chaos` provides a seeded TCP chaos proxy (mid-frame
 disconnects, truncated frames, dribbling senders, garbage) reusing the
-robustness layer's fault grammar; the daemon answers with connection
-deadlines, recoverable protocol-error replies, a ``status`` health
-message, graceful drain, idle-tenant eviction, and online journal
-compaction, while the client retries idempotently with seeded backoff.
+robustness layer's fault grammar over its own network namespace; the
+daemon answers with connection deadlines, recoverable protocol-error
+replies, a ``status`` health message, graceful drain, idle-tenant
+eviction, and online journal compaction, while the client retries
+idempotently with seeded backoff.
 
 PR 9 made the stack *fast and measurably so*: the daemon is a
 ``selectors`` event loop (thousands of connections, no
@@ -61,7 +65,7 @@ from repro.serve.scheduler import (
     BatchTicket,
     SchedulerClosedError,
 )
-from repro.serve.session import AdaptationSession
+from repro.serve.session import AdaptationSession, run_stream
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -85,5 +89,6 @@ __all__ = [
     "parse_network_fault_specs",
     "run_loadgen",
     "run_serving_bench",
+    "run_stream",
     "serve",
 ]

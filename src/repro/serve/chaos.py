@@ -12,10 +12,10 @@ partial writes, stalled and dribbling senders, truncated frames, and
 malformed garbage.
 
 The schedule reuses :class:`~repro.robustness.faults.FaultSpec` /
-:class:`~repro.robustness.faults.FaultSchedule` verbatim — the network
-taxonomy below is registered into the spec grammar at import time, so
-``"disconnect:0.1"``, ``"truncate@2+5"``, and friends parse exactly
-like batch fault specs.  Fault indices count *client→server protocol
+:class:`~repro.robustness.faults.FaultSchedule` verbatim over its own
+namespace, the network taxonomy below: :func:`parse_network_fault_specs`
+parses ``"disconnect:0.1"``, ``"truncate@2+5"``, and friends with the
+batch fault grammar, and neither namespace accepts the other's names.  Fault indices count *client→server protocol
 messages through the proxy* (the ``hello`` is message 0), across all
 connections, so a retried message consumes the next index.
 
@@ -40,7 +40,7 @@ Network fault taxonomy (``NETWORK_FAULT_NAMES``):
 
 Usage::
 
-    specs = parse_fault_specs("disconnect@2,truncate@5")
+    specs = parse_network_fault_specs("disconnect@2,truncate@5")
     with ChaosProxy(daemon_host, daemon_port, specs, seed=7) as proxy:
         client = ServeClient.connect(*proxy.address, retries=8)
         ...
@@ -65,17 +65,13 @@ from repro.robustness.faults import (
     FaultEvent,
     FaultSchedule,
     FaultSpec,
+    check_fault_names,
     parse_fault_specs,
-    register_fault_names,
 )
 
 #: the network fault taxonomy, in severity-of-mangling order
 NETWORK_FAULT_NAMES = ("disconnect", "delay", "truncate", "split",
                        "garbage")
-
-# make the network taxonomy parseable by the shared FaultSpec grammar
-# (import-time, single-threaded by Python's import lock)
-register_fault_names(NETWORK_FAULT_NAMES)
 
 _LENGTH = struct.Struct(">I")
 
@@ -86,17 +82,11 @@ _GARBAGE_BYTES = 32
 def parse_network_fault_specs(text: str) -> Tuple[FaultSpec, ...]:
     """Parse a comma-separated chaos spec string (CLI ``--chaos``).
 
-    Same grammar as batch fault specs, restricted to the network
-    taxonomy so a typo'd ``nan:0.2`` fails loudly here instead of
-    silently never firing in the proxy.
+    Same grammar as batch fault specs, over the network taxonomy, so a
+    typo'd ``nan:0.2`` fails loudly here instead of silently never
+    firing in the proxy.
     """
-    specs = parse_fault_specs(text)
-    for spec in specs:
-        if spec.fault not in NETWORK_FAULT_NAMES:
-            raise ValueError(
-                f"{spec.fault!r} is not a network fault; choose from "
-                f"{NETWORK_FAULT_NAMES}")
-    return specs
+    return parse_fault_specs(text, NETWORK_FAULT_NAMES, "network")
 
 
 def _read_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -159,11 +149,7 @@ class ChaosProxy:
                  specs: Sequence[FaultSpec], *, seed: int = 0,
                  delay_s: float = 0.2,
                  listen_host: str = "127.0.0.1") -> None:
-        for spec in specs:
-            if spec.fault not in NETWORK_FAULT_NAMES:
-                raise ValueError(
-                    f"{spec.fault!r} is not a network fault; choose "
-                    f"from {NETWORK_FAULT_NAMES}")
+        check_fault_names(specs, NETWORK_FAULT_NAMES, "network")
         self.upstream = (upstream_host, upstream_port)
         self.schedule = FaultSchedule(specs, seed=seed)
         self.delay_s = delay_s

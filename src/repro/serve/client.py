@@ -18,7 +18,7 @@ exercises):
 - with ``retries > 0``, *transient* failures — timeouts, severed
   connections, broken reply framing — trigger a bounded, seeded
   exponential backoff (the resilience layer's
-  :class:`~repro.resilience.executor.RetryPolicy`), a reconnect, a
+  :class:`~repro.core.executor.RetryPolicy`), a reconnect, a
   re-``hello`` of the remembered tenant spec, and a re-send of the
   exact same message.  Frame chunks carry a monotonically increasing
   ``chunk`` index keyed to the tenant, and the daemon deduplicates
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.streaming import StreamScorecard
-from repro.resilience.executor import RetryPolicy
+from repro.core.executor import RetryPolicy
 from repro.serve import protocol
 from repro.serve.checkpoint import encode_array
 from repro.serve.manager import TenantSpec

@@ -377,6 +377,8 @@ class SessionManager:
                 self._checkpoint(entry)
 
     def _checkpoint(self, entry: _Tenant) -> None:
+        if self._journal is None:
+            return      # nothing keeps it: do not build the checkpoint
         self._append({"event": "tenant_checkpoint",
                       "tenant": entry.spec.tenant,
                       "fingerprint": entry.spec.fingerprint(),

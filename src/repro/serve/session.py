@@ -1,27 +1,34 @@
 """The reusable adaptation-stream lifecycle: one session, one tenant.
 
-Before this layer existed the adaptation lifecycle — build the method,
-optionally wrap it in :class:`~repro.robustness.guard.GuardedAdaptation`,
-``prepare`` it on a model, time each ``forward``, score predictions,
-harvest guard counters, restore the source state — lived twice, inline:
-once in the native study runner's cell loop and once in the robustness
-harness.  :class:`AdaptationSession` extracts it as an object so both
-batch drivers *and* the multi-tenant serve daemon run the exact same
-code path, and adds the one thing a long-lived daemon needs that a
-batch run does not: journal-ready :meth:`checkpoint` /
-:meth:`load_checkpoint` that resume a killed stream bit-identically.
+:class:`AdaptationSession` owns the adaptation lifecycle — build the
+method, optionally wrap it in
+:class:`~repro.robustness.guard.GuardedAdaptation`, ``prepare`` it on a
+model, time each ``forward``, score predictions, track guard counters,
+restore the source state — so every stream in the repo runs the exact
+same code path: the :func:`run_stream` driver (the ``stream`` CLI and
+the native study runner's cells) and the multi-tenant serve daemon.
+It adds the one thing a long-lived daemon needs that a batch run does
+not: journal-ready :meth:`~AdaptationSession.checkpoint` /
+:meth:`~AdaptationSession.load_checkpoint` that resume a killed stream
+bit-identically.
 
 Lifecycle::
 
     session = AdaptationSession(model, "bn_opt", guard=True, tenant="cam0")
     with session:                      # prepare()s the runner
-        session.process_batch(images, labels)   # per adaptation batch
+        session.process_batch(images, labels)   # -> BatchStats
     card = session.scorecard()         # StreamScorecard, tenant-stamped
+
+or, for a whole stream with optional faults and a scenario schedule::
+
+    stats = run_stream(session, batches, faults="nan@2",
+                       schedule=stream.schedule)
+    card = session.scorecard()
 
 Teardown policy (``restore``):
 
-- ``"on_error"`` (default, the streaming-harness contract): the model
-  keeps its adapted state on clean exit — deployment semantics — but an
+- ``"on_error"`` (default, the streaming contract): the model keeps its
+  adapted state on clean exit — deployment semantics — but an
   exception mid-stream always restores the pristine source state before
   propagating, so a crashed stream cannot leak poisoned BN statistics
   into whatever runs next on the same model instance.
@@ -32,20 +39,24 @@ Teardown policy (``restore``):
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.adapt import build_method
 from repro.adapt.base import AdaptationMethod, bn_layers
 from repro.core.streaming import StreamScorecard
+from repro.robustness.faults import FaultInjector, FaultSpec, parse_fault_specs
 from repro.robustness.guard import GuardConfig, GuardedAdaptation
+from repro.scenarios.metrics import BatchStats
+from repro.scenarios.schedule import ScenarioSchedule
 from repro.serve.checkpoint import (
     decode_model_state,
     decode_state,
     encode_model_state,
     encode_state,
 )
+from repro.tensor.tensor import Tensor, no_grad
 
 #: checkpoint document version (bumped on incompatible layout changes)
 CHECKPOINT_VERSION = 1
@@ -99,7 +110,7 @@ class AdaptationSession:
         self.fps = fps
         self.tenant = tenant
         #: compact scenario spec stamped into scorecards; set by
-        #: scenario drivers ("" = plain stream)
+        #: run_stream from its schedule ("" = plain stream)
         self.scenario = ""
         self.restore = restore
         self._started = False
@@ -116,8 +127,8 @@ class AdaptationSession:
         self.wall_time_s = 0.0
         #: filled in by drivers that own a FaultInjector
         self.faults_injected = 0
-        # guard counters, harvested from the runner on close (the
-        # runner re-zeroes them when it re-prepares)
+        # guard counters, copied from the runner after every batch and
+        # on close (the runner re-zeroes them when it re-prepares)
         self.rollbacks = 0
         self.degraded_batches = 0
         self.fallback_frames = 0
@@ -173,22 +184,23 @@ class AdaptationSession:
         self._closed = True
 
     def _sync_counters(self) -> None:
-        """Copy the runner's guard counters into the session (pre-reset)."""
-        self.rollbacks = int(getattr(self.runner, "rollbacks", 0))
-        self.degraded_batches = int(getattr(self.runner,
-                                            "degraded_batches", 0))
-        self.fallback_frames = int(getattr(self.runner,
-                                           "fallback_frames", 0))
+        """Copy the guard's running counters into the session (pre-reset)."""
+        if self.guarded:
+            self.rollbacks = self.runner.rollbacks
+            self.degraded_batches = self.runner.degraded_batches
+            self.fallback_frames = self.runner.fallback_frames
 
     # -- streaming ---------------------------------------------------------
 
     def process_batch(self, images: np.ndarray, labels: np.ndarray,
-                      *, adapt: bool = True) -> np.ndarray:
-        """Adapt on one batch, score it, and return the predictions.
+                      *, adapt: bool = True) -> BatchStats:
+        """Adapt on one batch, score it, and return its :class:`BatchStats`.
 
-        Reproduces the drivers' shared inner loop exactly: wall time
-        around the (adapting) forward, NaN-safe argmax scoring, and the
-        optional fps deadline check.
+        Wall time is measured around the (adapting) forward; scoring is
+        a NaN-safe argmax; with ``fps`` set, a batch whose service time
+        exceeds its arrival period counts as late.  The returned stats
+        carry this batch's frames, correct count and guard-counter
+        deltas, ready for segmentation.
 
         ``adapt=False`` serves the batch with the model *as adapted so
         far* but frozen — eval-mode inference under ``no_grad``, no BN
@@ -199,6 +211,8 @@ class AdaptationSession:
         """
         if not self.active:
             raise RuntimeError("process_batch() outside start()/close()")
+        before = (self.rollbacks, self.degraded_batches,
+                  self.fallback_frames)
         start = time.perf_counter()
         if adapt:
             logits = self.runner.forward(images)
@@ -208,11 +222,18 @@ class AdaptationSession:
         self.wall_time_s += elapsed
         self.batches_total += 1
         predictions = np.nan_to_num(logits).argmax(axis=-1)
-        self.frames_correct += int((predictions == labels).sum())
+        correct = int((predictions == labels).sum())
+        self.frames_correct += correct
         self.frames_processed += len(labels)
         if self.fps is not None and elapsed > len(labels) / self.fps:
             self.batches_late += 1
-        return predictions
+        self._sync_counters()
+        return BatchStats(
+            index=self.batches_total - 1, frames=len(labels),
+            correct=correct, rollbacks=self.rollbacks - before[0],
+            degraded_batches=self.degraded_batches - before[1],
+            fallback_frames=self.fallback_frames - before[2],
+            adapted=adapt)
 
     def _frozen_forward(self, images: np.ndarray) -> np.ndarray:
         """Inference-only forward that leaves every mode flag as found.
@@ -222,8 +243,6 @@ class AdaptationSession:
         per-module ``training`` flags are flipped to eval for the call
         and flipped back afterwards.
         """
-        from repro.tensor.tensor import Tensor, no_grad
-
         flags = [module.training for module in self.model.modules()]
         self.model.eval()
         try:
@@ -242,8 +261,6 @@ class AdaptationSession:
 
     def scorecard(self) -> StreamScorecard:
         """The stream's outcome so far as a tenant-stamped scorecard."""
-        if self.active:
-            self._sync_counters()
         frames = self.frames_processed
         error = 100.0 * (1.0 - self.frames_correct / frames) if frames else 0.0
         return StreamScorecard(
@@ -344,3 +361,57 @@ class AdaptationSession:
     def __repr__(self) -> str:
         return (f"AdaptationSession(tenant={self.tenant!r}, "
                 f"runner={self.runner!r}, active={self.active})")
+
+
+def run_stream(session: AdaptationSession,
+               batches: Iterable[Tuple[np.ndarray, np.ndarray]], *,
+               faults: Union[None, str, Sequence[FaultSpec]] = None,
+               seed: int = 0,
+               schedule: Optional[ScenarioSchedule] = None
+               ) -> List[BatchStats]:
+    """Play ``batches`` through ``session``, start to close.
+
+    The one stream driver: the ``stream`` CLI, the native study
+    runner's cells and the scenario path all call it.
+
+    Parameters
+    ----------
+    session:
+        An un-started :class:`AdaptationSession`; it is entered here
+        and closed under its own ``restore`` policy.  Read the
+        whole-stream :meth:`~AdaptationSession.scorecard` from it
+        afterwards.
+    batches:
+        Iterator of ``(images, labels)``; labels are used for scoring
+        only — the adaptation never sees them.
+    faults:
+        Fault specs — a CLI-style string (``"nan:0.2,constant@3"``), a
+        sequence of :class:`~repro.robustness.faults.FaultSpec`, or
+        ``None`` for a clean stream.  Injected on a schedule seeded by
+        ``seed``; the count lands in the session's ``faults_injected``.
+    schedule:
+        Optional :class:`~repro.scenarios.schedule.ScenarioSchedule`
+        (typically the one that generated ``batches``): batch ``i``
+        adapts only if ``schedule.plan_for(i).adapt`` (``budgeted``
+        freezing), and the scorecard is stamped with its label.
+
+    Returns one :class:`~repro.scenarios.metrics.BatchStats` per batch;
+    :meth:`~repro.scenarios.metrics.ScenarioOutcome.from_run` segments
+    them along the schedule.
+    """
+    injector = None
+    if faults is not None:
+        specs = parse_fault_specs(faults) if isinstance(faults, str) \
+            else tuple(faults)
+        injector = FaultInjector(specs, seed=seed)
+        batches = injector.inject(batches)
+    if schedule is not None:
+        session.scenario = schedule.label
+    stats: List[BatchStats] = []
+    with session:
+        for index, (images, labels) in enumerate(batches):
+            adapt = (schedule.plan_for(index).adapt
+                     if schedule is not None else True)
+            stats.append(session.process_batch(images, labels, adapt=adapt))
+        session.faults_injected = injector.faults_injected if injector else 0
+    return stats

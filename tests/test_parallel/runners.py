@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List
 
 from repro.core.records import MeasurementRecord
-from repro.resilience.executor import CellSpec
+from repro.core.executor import CellSpec
 
 
 def make_spec(key: str, **overrides) -> CellSpec:

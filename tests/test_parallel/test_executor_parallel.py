@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import io as study_io
 from repro.parallel import ParallelExecutor
-from repro.resilience.executor import ResilientExecutor
+from repro.core.executor import ResilientExecutor
 from repro.resilience.journal import RunJournal
 
 from tests.test_parallel.runners import (crash_runner, echo_runner,

@@ -17,7 +17,8 @@ from repro.core.config import StudyConfig
 from repro.core.records import MeasurementRecord, StudyResult
 from repro.core.runner import run_native_study
 from repro.data.stream import CorruptionStream
-from repro.robustness import GuardedAdaptation, run_guarded_stream
+from repro.robustness import GuardedAdaptation
+from repro.serve.session import AdaptationSession, run_stream
 
 BATCHES = 12
 BATCH_SIZE = 32
@@ -30,6 +31,13 @@ def stream_batches(data):
     return itertools.islice(stream.batches(BATCH_SIZE), BATCHES)
 
 
+def play(model, method, batches, *, guard=True, fps=None, **stream_kw):
+    """One guarded (by default) stream through run_stream; its scorecard."""
+    session = AdaptationSession(model, method, guard=guard, fps=fps)
+    run_stream(session, batches, **stream_kw)
+    return session.scorecard()
+
+
 @pytest.fixture(scope="module")
 def cards(micro_trained_model):
     """Scorecards of the same NaN-faulted stream, unguarded vs guarded."""
@@ -38,7 +46,7 @@ def cards(micro_trained_model):
     for guarded in (False, True):
         method = build_method("bn_opt", lr=5e-3)
         try:
-            results[guarded] = run_guarded_stream(
+            results[guarded] = play(
                 model, method, stream_batches(data),
                 guard=guarded, faults=FAULTS, seed=0)
         finally:
@@ -76,7 +84,7 @@ class TestRunGuardedStream:
         model, data = micro_trained_model
         method = build_method("bn_norm")
         try:
-            card = run_guarded_stream(model, method, stream_batches(data))
+            card = play(model, method, stream_batches(data))
         finally:
             method.reset()
         assert card.faults_injected == 0
@@ -87,16 +95,16 @@ class TestRunGuardedStream:
     def test_method_by_name_and_late_batches(self, micro_trained_model):
         """An absurd fps makes every measured batch miss its deadline."""
         model, data = micro_trained_model
-        card = run_guarded_stream(model, "no_adapt", stream_batches(data),
-                                  guard=False, fps=1e9)
+        card = play(model, "no_adapt", stream_batches(data),
+                    guard=False, fps=1e9)
         assert card.batches_late == card.batches_total == BATCHES
 
     def test_prebuilt_guard_is_used_as_is(self, micro_trained_model):
         model, data = micro_trained_model
         guard = GuardedAdaptation(build_method("bn_norm"))
         try:
-            card = run_guarded_stream(model, guard, stream_batches(data),
-                                      faults=FAULTS, seed=0)
+            card = play(model, guard, stream_batches(data),
+                        faults=FAULTS, seed=0)
             assert card.rollbacks == guard.rollbacks >= 1
         finally:
             guard.method.reset()

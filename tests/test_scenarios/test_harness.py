@@ -1,4 +1,5 @@
-"""run_scenario_stream end to end: freezing, forgetting, bit-identity.
+"""Scenario streams end to end through run_stream: freezing, forgetting,
+bit-identity.
 
 Three acceptance proofs live here:
 
@@ -15,13 +16,12 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from repro.adapt import build_method
 from repro.engine import create_backend, use_backend
-from repro.robustness import run_guarded_stream
-from repro.scenarios import ScenarioStream, run_scenario_stream
+from repro.scenarios import ScenarioOutcome, ScenarioStream
+from repro.serve.session import AdaptationSession, run_stream
 
 from tests.test_scenarios.conftest import make_tiny_model
 
@@ -33,12 +33,20 @@ def strip_timing(card):
                                wall_time_s=0.0)
 
 
+def play(model, method, stream, *, num_batches=None, guard=True,
+         faults=None, seed=0):
+    """One scenario stream through run_stream, segmented afterwards."""
+    session = AdaptationSession(model, method, guard=guard)
+    stats = run_stream(session, stream.batches(16, num_batches),
+                       faults=faults, seed=seed, schedule=stream.schedule)
+    return ScenarioOutcome.from_run(stream.schedule, session.scorecard(),
+                                    stats)
+
+
 def run(dataset, text, *, model=None, method="bn_norm", seed=0, **kw):
     stream = ScenarioStream.from_dataset(dataset, text, seed=seed)
-    return run_scenario_stream(model if model is not None
-                               else make_tiny_model(),
-                               build_method(method), stream,
-                               batch_size=16, **kw)
+    return play(model if model is not None else make_tiny_model(),
+                build_method(method), stream, **kw)
 
 
 class TestForgettingPin:
@@ -84,8 +92,7 @@ class TestBudgetedFreezing:
     def test_frozen_batches_skip_adaptation(self, tiny_dataset):
         method = build_method("bn_norm")
         stream = ScenarioStream.from_dataset(tiny_dataset, self.TEXT)
-        run_scenario_stream(make_tiny_model(), method, stream,
-                            batch_size=16, num_batches=8, guard=False)
+        play(make_tiny_model(), method, stream, num_batches=8, guard=False)
         assert method.batches_adapted == 2     # batches 0 and 4 only
 
     def test_frozen_batches_leave_bn_state_untouched(self, tiny_dataset):
@@ -93,12 +100,12 @@ class TestBudgetedFreezing:
         assert sum(c.batches_adapted for c in outcome.segments) == 2
 
     def test_budgeted_gating_in_run_guarded_stream(self, tiny_dataset):
-        """The robustness harness honors the same schedule."""
+        """A plain stream run honors the same schedule."""
         method = build_method("bn_norm")
         stream = ScenarioStream.from_dataset(tiny_dataset, self.TEXT)
-        card = run_guarded_stream(make_tiny_model(), method,
-                                  stream.batches(16, 8), guard=False,
-                                  scenario=stream.schedule)
+        session = AdaptationSession(make_tiny_model(), method)
+        run_stream(session, stream.batches(16, 8), schedule=stream.schedule)
+        card = session.scorecard()
         assert method.batches_adapted == 2
         # gaussian_noise is the kind's default palette, so the canonical
         # label omits it
@@ -131,10 +138,8 @@ class TestCrossBackendBitIdentity:
         def faulted(fault_seed):
             stream = ScenarioStream.from_dataset(tiny_dataset, self.MARKOV,
                                                  seed=1)
-            return run_scenario_stream(make_tiny_model(),
-                                       build_method("bn_norm"), stream,
-                                       batch_size=16, num_batches=12,
-                                       faults="nan:0.3", seed=fault_seed)
+            return play(make_tiny_model(), build_method("bn_norm"), stream,
+                        num_batches=12, faults="nan:0.3", seed=fault_seed)
         a, b = faulted(1), faulted(2)
         # same shift sequence ...
         assert [(c.corruption, c.start, c.end) for c in a.segments] == \

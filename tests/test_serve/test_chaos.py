@@ -63,10 +63,6 @@ def connect_via(proxy, **kwargs):
 
 
 class TestGrammar:
-    def test_network_names_parse_in_shared_grammar(self):
-        specs = parse_fault_specs("disconnect@2,truncate:0.5")
-        assert [s.fault for s in specs] == ["disconnect", "truncate"]
-
     def test_network_parser_rejects_batch_faults(self):
         with pytest.raises(ValueError, match="not a network fault"):
             parse_network_fault_specs("nan:0.2")

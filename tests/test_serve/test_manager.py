@@ -13,6 +13,7 @@ import pytest
 
 from repro.resilience.journal import scan_journal
 from repro.serve.manager import AdmissionError, SessionManager, TenantSpec
+from repro.serve.session import AdaptationSession
 
 from tests.test_serve.conftest import (
     assert_states_identical,
@@ -215,3 +216,47 @@ class TestJournalResume:
 
         events = [entry["event"] for entry in scan_journal(journal).entries]
         assert events.count("tenant_checkpoint") == 2    # batches 3 and 6
+
+
+class TestCheckpointCost:
+    """A checkpoint is built only when a journal takes it."""
+
+    @pytest.fixture
+    def checkpoints(self, monkeypatch):
+        """``batches_total`` at every ``AdaptationSession.checkpoint``."""
+        calls = []
+        original = AdaptationSession.checkpoint
+
+        def counting(session):
+            calls.append(session.batches_total)
+            return original(session)
+
+        monkeypatch.setattr(AdaptationSession, "checkpoint", counting)
+        return calls
+
+    def _stream(self, manager, batches):
+        manager.open_tenant(spec_for("cam0"))
+        for images, labels in make_batches(batches, batch_size=8):
+            manager.ingest("cam0", images, labels)
+        return manager.drain()
+
+    def test_no_journal_never_builds_a_checkpoint(self, checkpoints):
+        manager = SessionManager()
+        try:
+            reply = self._stream(manager, 4)
+        finally:
+            manager.close()
+        assert checkpoints == []
+        assert reply == {"checkpointed": ["cam0"], "skipped": [],
+                         "compacted_entries": 0}
+
+    def test_journal_checkpoints_every_nth_batch(self, tmp_path,
+                                                 checkpoints):
+        manager = SessionManager(journal=str(tmp_path / "serve.jsonl"),
+                                 checkpoint_every=2)
+        try:
+            reply = self._stream(manager, 5)
+        finally:
+            manager.close()
+        assert checkpoints == [2, 4, 5]     # batches 2 and 4, then drain
+        assert reply["checkpointed"] == ["cam0"]

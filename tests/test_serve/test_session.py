@@ -29,7 +29,7 @@ class TestDriverEquivalence:
     """The session's loop == the pre-refactor inline loop, bit for bit."""
 
     def test_matches_manual_loop(self, batches):
-        # manual loop, exactly as core.runner/_robustness.harness wrote it
+        # manual loop, exactly as the pre-session drivers wrote it
         model_a = make_model()
         method_a = GuardedAdaptation(build_method("bn_opt", lr=5e-3))
         method_a.prepare(model_a)
