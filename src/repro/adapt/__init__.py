@@ -14,6 +14,11 @@ All three share the :class:`AdaptationMethod` interface: ``prepare`` a
 model once, then call ``forward`` per streamed batch; ``forward`` returns
 logits for scoring and performs whatever adaptation the method defines —
 matching the paper's measured "forward time (inference + any adaptation)".
+
+:class:`BNState` is everything those methods change in a model (BN
+statistics, gamma/beta, counters, momentum, mode flags) as one value:
+the single copy mechanism behind ``reset()``, guard rollback, drift
+references and session checkpoints.
 """
 
 from repro.adapt.base import AdaptationMethod, bn_layers, bn_parameters, configure_bn_only_grads
@@ -22,6 +27,7 @@ from repro.adapt.bn_opt import BNOpt
 from repro.adapt.diagnostics import AdaptationMonitor
 from repro.adapt.extensions import BNNormSourceBlend, BNOptSelective
 from repro.adapt.no_adapt import NoAdapt
+from repro.adapt.state import BNState
 
 #: the paper's three methods; extensions listed separately
 METHOD_NAMES = ("no_adapt", "bn_norm", "bn_opt")
@@ -52,6 +58,7 @@ __all__ = [
     "BNNorm",
     "BNOpt",
     "AdaptationMonitor",
+    "BNState",
     "BNNormSourceBlend",
     "BNOptSelective",
     "bn_layers",

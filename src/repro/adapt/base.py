@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro import nn
+from repro.adapt.state import BNState, bn_layers
 from repro.nn.module import Module
-
-
-def bn_layers(model: Module) -> List[nn.BatchNorm2d]:
-    """All BatchNorm2d layers of a model, in traversal order."""
-    return [m for m in model.modules() if isinstance(m, nn.BatchNorm2d)]
 
 
 def bn_parameters(model: Module) -> Iterator[nn.Parameter]:
@@ -44,8 +40,9 @@ class AdaptationMethod(abc.ABC):
     Lifecycle: ``prepare(model)`` once per stream, then ``forward(x)`` per
     batch (returns logits *and* performs the method's adaptation, matching
     the paper's "forward time = inference + adaptation" metric), and
-    optionally ``reset()`` to restore the pristine pre-adaptation state
-    (episodic evaluation).
+    optionally ``reset()`` to restore the :class:`BNState` captured at
+    ``prepare`` and re-configure for another stream (episodic
+    evaluation).
     """
 
     #: canonical name used by the study harness and device cost model
@@ -57,21 +54,22 @@ class AdaptationMethod(abc.ABC):
 
     def __init__(self) -> None:
         self.model: Optional[Module] = None
-        self._snapshot: Optional[Dict[str, np.ndarray]] = None
+        self._snapshot: Optional[BNState] = None
         self.batches_adapted = 0
 
     def prepare(self, model: Module) -> "AdaptationMethod":
-        """Bind to ``model``, snapshot its state, and configure modes/grads."""
-        self._snapshot = model.state_dict()
+        """Bind to ``model``, capture its BN state, and configure modes/grads."""
+        self._snapshot = BNState.capture(model)
         return self.bind(model)
 
     def bind(self, model: Module) -> "AdaptationMethod":
-        """Attach to ``model`` and configure modes/grads *without* taking
-        the pristine snapshot.
+        """Attach to ``model`` and configure modes/grads *without*
+        capturing the pristine :class:`BNState`.
 
         For wrappers that manage model state themselves (the robustness
         layer's :class:`~repro.robustness.guard.GuardedAdaptation` switches
-        ladder levels mid-stream and restores its own BN snapshots);
+        ladder levels mid-stream and rolls back to its own per-batch
+        :class:`BNState`);
         ``reset()`` stays the province of whichever method was
         ``prepare``-d.  Re-binding also rebuilds per-method optimizer
         state, which is exactly what a post-rollback retry wants.
@@ -90,10 +88,15 @@ class AdaptationMethod(abc.ABC):
         """Run one streamed batch; return logits (N, num_classes)."""
 
     def reset(self) -> None:
-        """Restore the model to its pre-adaptation state (episodic mode)."""
+        """Restore the model to its pre-adaptation state (episodic mode).
+
+        Applies the :class:`BNState` captured at ``prepare`` — statistics,
+        affine parameters, counters, momentum and mode flags — then
+        re-configures the model for another stream of this method.
+        """
         if self.model is None or self._snapshot is None:
             raise RuntimeError("reset() before prepare()")
-        self.model.load_state_dict(self._snapshot)
+        self._snapshot.apply(self.model)
         self.batches_adapted = 0
         self._configure(self.model)
 
@@ -104,8 +107,8 @@ class AdaptationMethod(abc.ABC):
         twin of this method, pointed at a bit-identical model, continues
         the stream bit-identically: the adapted-batch counter plus any
         optimizer moments (methods owning an ``optimizer`` attribute,
-        e.g. BN-Opt's Adam).  Model parameters and BN buffers are *not*
-        included — they are the model's state, checkpointed separately.
+        e.g. BN-Opt's Adam).  The model's BN state is *not* included —
+        it is a :class:`BNState`, checkpointed separately.
         """
         state: dict = {"batches_adapted": self.batches_adapted}
         optimizer = getattr(self, "optimizer", None)

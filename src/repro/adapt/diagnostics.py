@@ -6,7 +6,8 @@ adaptation is helping, so operators need label-free health signals.
 tracks, per batch:
 
 - **statistics drift** — mean L2 distance between each BN layer's
-  current running statistics and its pristine (source) statistics: how
+  current running statistics and those of the :class:`BNState`
+  captured at ``prepare`` (the source statistics): how
   far the model has walked from its training distribution;
 - **prediction entropy** — the unsupervised confidence signal TENT
   minimizes;
@@ -26,6 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.adapt.base import AdaptationMethod, bn_layers
+from repro.adapt.state import BNState
 from repro.tensor.tensor import Tensor, no_grad
 
 
@@ -55,7 +57,7 @@ class AdaptationMonitor:
         self.method = method
         self.probe = probe
         self.history: List[BatchDiagnostics] = []
-        self._source_stats: List[np.ndarray] = []
+        self._source: Optional[BNState] = None
         self._last_probe_predictions: Optional[np.ndarray] = None
 
     # -- delegation -----------------------------------------------------
@@ -65,7 +67,7 @@ class AdaptationMonitor:
 
     def prepare(self, model) -> "AdaptationMonitor":
         self.method.prepare(model)
-        self._source_stats = collect_bn_stats(model)
+        self._source = BNState.capture(model)
         self.history.clear()
         self._last_probe_predictions = None
         return self
@@ -91,7 +93,7 @@ class AdaptationMonitor:
 
     # -- signals ----------------------------------------------------------
     def _stats_drift(self, model) -> float:
-        return stats_drift(model, self._source_stats)
+        return stats_drift(model, self._source)
 
     def _probe_churn(self, model) -> Optional[float]:
         if self.probe is None:
@@ -142,19 +144,23 @@ def collect_bn_stats(model) -> List[np.ndarray]:
             for layer in bn_layers(model)]
 
 
-def stats_drift(model, source_stats: List[np.ndarray]) -> float:
-    """Mean normalized L2 distance of BN running stats from ``source_stats``.
+def stats_drift(model, source: BNState) -> float:
+    """Mean normalized L2 distance of BN running stats from ``source``'s.
 
-    ``source_stats`` is a :func:`collect_bn_stats` snapshot of the pristine
-    model.  Scale-normalized by ``sqrt(dim)`` per layer so models of any
-    width are comparable; NaN in either side propagates (a drift of NaN is
-    itself a guard violation).
+    ``source`` is a :class:`BNState` of the pristine model; each layer's
+    concatenated (running_mean, running_var) is compared with the
+    model's :func:`collect_bn_stats` vector.  Scale-normalized by
+    ``sqrt(dim)`` per layer so models of any width are comparable; NaN
+    in either side propagates (a drift of NaN is itself a guard
+    violation).
     """
     current = collect_bn_stats(model)
     if not current:
         return 0.0
-    distances = [float(np.linalg.norm(now - src) / np.sqrt(now.size))
-                 for now, src in zip(current, source_stats)]
+    distances = [float(np.linalg.norm(
+        now - np.concatenate([saved.running_mean, saved.running_var]))
+        / np.sqrt(now.size))
+        for now, saved in zip(current, source.layers)]
     return float(np.mean(distances))
 
 

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro.adapt.base import AdaptationMethod, bn_layers, bn_parameters, configure_bn_only_grads
+from repro.adapt.state import BNState
 from repro.nn.module import Module
 from repro.nn.optim import Adam
 from repro.tensor import functional as F
@@ -54,16 +55,14 @@ class BNNormSourceBlend(AdaptationMethod):
         if source_count < 0:
             raise ValueError("source_count must be >= 0")
         self.source_count = source_count
-        self._source_stats: list[tuple[np.ndarray, np.ndarray]] = []
+        self._source: Optional[BNState] = None
 
     def _configure(self, model: Module) -> None:
         model.requires_grad_(False)
         # Keep the model in eval mode: we normalize with *our* blended
         # buffers, which we write into the running-stat slots per batch.
         model.eval()
-        self._source_stats = [(layer.running_mean.copy(),
-                               layer.running_var.copy())
-                              for layer in bn_layers(model)]
+        self._source = BNState.capture(model)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         model = self._require_model()
@@ -72,7 +71,6 @@ class BNNormSourceBlend(AdaptationMethod):
         # Pass 1: collect the batch statistics of every BN layer's input
         # by running in train mode with momentum=1 (buffers <- batch).
         layers = bn_layers(model)
-        source = self._source_stats
         model.train()
         saved_momentum = [layer.momentum for layer in layers]
         for layer in layers:
@@ -81,14 +79,14 @@ class BNNormSourceBlend(AdaptationMethod):
             model(Tensor(x))
         # Blend source and batch statistics into the buffers, then run
         # the actual prediction pass in eval mode with the blend.
-        for layer, (mu_s, var_s), momentum in zip(layers, source,
-                                                  saved_momentum):
-            mu_b = layer.running_mean.copy()
-            var_b = layer.running_var.copy()
+        for layer, source, momentum in zip(layers, self._source.layers,
+                                           saved_momentum):
             layer.set_buffer("running_mean",
-                             (1 - weight) * mu_s + weight * mu_b)
+                             (1 - weight) * source.running_mean
+                             + weight * layer.running_mean)
             layer.set_buffer("running_var",
-                             (1 - weight) * var_s + weight * var_b)
+                             (1 - weight) * source.running_var
+                             + weight * layer.running_var)
             layer.momentum = momentum
         model.eval()
         with no_grad():

@@ -7,10 +7,10 @@ normalized with.  In an unsupervised deployment there is no label to
 flag the poisoning; :class:`GuardedAdaptation` supplies the missing
 safety net with three mechanisms:
 
-1. **Snapshot / rollback** — before each batch the BN state (running
-   statistics, gamma/beta, batch counters) is snapshotted; if the
-   post-step health checks fail, the snapshot is restored
-   *bit-identically*.
+1. **Snapshot / rollback** — before each batch the model's
+   :class:`~repro.adapt.state.BNState` (running statistics, gamma/beta,
+   batch counters, momentum, mode flags) is captured; if the post-step
+   health checks fail, it is applied back *bit-identically*.
 2. **Label-free health checks** (from :mod:`repro.adapt.diagnostics`):
    non-finite logits, non-finite BN parameters/buffers, prediction
    entropy collapse, and BN statistics drift blow-up.
@@ -30,18 +30,18 @@ study runner and streaming harness unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.adapt import build_method
-from repro.adapt.base import AdaptationMethod, bn_layers
+from repro.adapt.base import AdaptationMethod
 from repro.adapt.diagnostics import (
-    collect_bn_stats,
     has_nonfinite_bn_state,
     mean_prediction_entropy,
     stats_drift,
 )
+from repro.adapt.state import BNState
 
 #: the degradation ladder, strongest adaptation first
 LADDER = ("bn_opt", "bn_norm", "no_adapt")
@@ -90,10 +90,6 @@ class GuardEvent:
     reason: str = ""
 
 
-#: snapshot entry per BN layer: (mean, var, gamma, beta, batches_tracked)
-_BNSnapshot = List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]
-
-
 class GuardedAdaptation:
     """Wrap an adaptation method with rollback and graceful degradation.
 
@@ -114,7 +110,7 @@ class GuardedAdaptation:
         self._active = -1   # rung whose _configure currently owns the model
         self._level = 0
         self._healthy_streak = 0
-        self._source_stats: List[np.ndarray] = []
+        self._source: Optional[BNState] = None   # drift reference
         self.events: List[GuardEvent] = []
         self.batches_seen = 0
         # guard counters (surfaced in scorecards and study records)
@@ -152,7 +148,7 @@ class GuardedAdaptation:
         self._active = 0
         self._level = 0
         self._healthy_streak = 0
-        self._source_stats = collect_bn_stats(model)
+        self._source = BNState.capture(model)
         self.events.clear()
         self.batches_seen = 0
         self.rollbacks = 0
@@ -233,7 +229,7 @@ class GuardedAdaptation:
             raise RuntimeError("forward() before prepare()")
         index = self.batches_seen
         self.batches_seen += 1
-        snapshot = self._snapshot_bn()
+        snapshot = BNState.capture(self.model)
         while True:
             method = self._activate(self._level)
             logits = method.forward(x)
@@ -242,7 +238,7 @@ class GuardedAdaptation:
             if violation is None:
                 self._after_healthy(index)
                 return logits
-            self._restore_bn(snapshot)
+            snapshot.apply(self.model)
             # rebuild optimizer/mode state of the failed rung so its
             # (potentially NaN-contaminated) Adam moments cannot leak
             # into a later re-escalation
@@ -301,27 +297,11 @@ class GuardedAdaptation:
             entropy = mean_prediction_entropy(logits)
             if entropy < self.config.entropy_floor * np.log(num_classes):
                 return "entropy_collapse"
-            drift = stats_drift(self.model, self._source_stats)
+            drift = stats_drift(self.model, self._source)
             # NaN drift must violate: express as "not provably healthy"
             if not drift <= self.config.drift_limit:
                 return "stats_drift_blowup"
         return None
-
-    # -- BN snapshot / restore ---------------------------------------------
-    def _snapshot_bn(self) -> _BNSnapshot:
-        return [(layer.running_mean.copy(), layer.running_var.copy(),
-                 layer.weight.data.copy(), layer.bias.data.copy(),
-                 layer.batches_tracked)
-                for layer in bn_layers(self.model)]
-
-    def _restore_bn(self, snapshot: _BNSnapshot) -> None:
-        for layer, (mean, var, gamma, beta, tracked) in zip(
-                bn_layers(self.model), snapshot):
-            layer.set_buffer("running_mean", mean.copy())
-            layer.set_buffer("running_var", var.copy())
-            layer.weight.data = gamma.copy()
-            layer.bias.data = beta.copy()
-            layer.batches_tracked = tracked
 
     def __repr__(self) -> str:
         return f"GuardedAdaptation({self.method!r})"

@@ -2,19 +2,20 @@
 
 Session checkpoints ride inside the serve daemon's run journal (JSONL)
 and across the wire protocol, both of which speak JSON — but the state
-being checkpointed (model parameters, BN buffers, optimizer moments) is
-numpy arrays whose *bytes* must survive the round trip exactly: the
-kill-and-resume contract is bit-identity, and a float that went through
-``repr`` and back is not the float that was written.  Arrays are
-therefore encoded as base64 of their raw little-endian bytes plus dtype
-and shape, and nested state containers (dicts, lists, scalars) are
-walked recursively with arrays tagged ``{"__ndarray__": ...}``.
+being checkpointed (:class:`~repro.adapt.state.BNState` trees, optimizer
+moments) is numpy arrays whose *bytes* must survive the round trip
+exactly: the kill-and-resume contract is bit-identity, and a float that
+went through ``repr`` and back is not the float that was written.
+Arrays are therefore encoded as base64 of their raw little-endian bytes
+plus dtype and shape, and nested state containers (dicts, lists,
+scalars) are walked recursively with arrays tagged
+``{"__ndarray__": ...}``.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, List, Tuple
+from typing import Any
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def decode_array(payload: dict) -> np.ndarray:
 def encode_state(value: Any) -> Any:
     """Recursively encode a state tree, tagging every ndarray.
 
-    Handles the shapes produced by ``Module.state_dict`` and
+    Handles the shapes produced by ``BNState.to_tree`` and
     ``Optimizer.state_dict``: dicts, lists/tuples, ndarrays, numpy
     scalars, and plain JSON scalars.  Unknown types raise rather than
     silently degrading to ``repr`` (a checkpoint that cannot round-trip
@@ -72,26 +73,3 @@ def decode_state(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_state(item) for item in value]
     return value
-
-
-def encode_model_state(state: Dict[str, np.ndarray],
-                       batches_tracked: List[int]) -> dict:
-    """A model's full restorable state as one JSON-safe document.
-
-    ``state_dict()`` covers parameters and buffers but **not** the BN
-    ``batches_tracked`` counters (plain ints on the layer, outside the
-    buffer registry), which BN-Norm's running-average momentum depends
-    on — so they are carried alongside, in :func:`repro.adapt.base.bn_layers`
-    traversal order.
-    """
-    return {
-        "state": {name: encode_array(array) for name, array in state.items()},
-        "batches_tracked": [int(n) for n in batches_tracked],
-    }
-
-
-def decode_model_state(payload: dict) -> Tuple[Dict[str, np.ndarray], List[int]]:
-    """Inverse of :func:`encode_model_state`."""
-    state = {name: decode_array(entry)
-             for name, entry in payload["state"].items()}
-    return state, [int(n) for n in payload["batches_tracked"]]

@@ -24,8 +24,9 @@ Durability follows the study runners' journal discipline
 (:mod:`repro.resilience.journal`): every processed batch appends a
 ``tenant_checkpoint`` entry carrying the session's full checkpoint, so
 a killed daemon restarted with ``resume=True`` re-admits every open
-tenant *bit-identically* — same model bytes, same guard ladder
-position, same optimizer moments, same score counters.  Admission
+tenant *bit-identically* — same BN state, same guard ladder position,
+same optimizer moments, same score counters — onto a model whose
+frozen weights must match the checkpoint's digest.  Admission
 control reuses the real-time simulator's ``queue_capacity`` semantics
 (:class:`repro.core.streaming.RealTimeStream`): a tenant buffers at
 most ``queue_capacity`` batches of backlog beyond the one being
@@ -219,7 +220,11 @@ class SessionManager:
         Re-opening a tenant already live in this process re-attaches to
         it (the spec must match); a tenant with a checkpoint from a
         previous daemon life — or suspended here by idle eviction — is
-        restored from it.
+        restored from it.  A resume refused for a different spec
+        (:class:`AdmissionError`) or different model weights
+        (``ValueError`` from
+        :meth:`~repro.serve.session.AdaptationSession.load_checkpoint`)
+        keeps the checkpoint, so a retry with the right spec resumes.
         """
         with self._tenants_lock:
             live = self._tenants.get(spec.tenant)
@@ -234,7 +239,9 @@ class SessionManager:
             if len(self._tenants) >= self.max_tenants:
                 raise AdmissionError(
                     f"tenant limit reached ({self.max_tenants})")
-            saved = self._saved.pop(spec.tenant, None)
+            # the saved entry goes only once the session has loaded it: a
+            # refused resume (spec or weights mismatch) keeps it for a retry
+            saved = self._saved.get(spec.tenant)
             if saved is not None and saved["fingerprint"] != spec.fingerprint():
                 raise AdmissionError(
                     f"tenant {spec.tenant!r} was journaled under a "
@@ -242,6 +249,7 @@ class SessionManager:
             session = self._build_session(spec)
             if saved is not None:
                 session.load_checkpoint(saved["checkpoint"])
+                del self._saved[spec.tenant]
             else:
                 session.start()
             tenant = _Tenant(spec, session)

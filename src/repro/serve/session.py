@@ -10,7 +10,9 @@ the native study runner's cells) and the multi-tenant serve daemon.
 It adds the one thing a long-lived daemon needs that a batch run does
 not: journal-ready :meth:`~AdaptationSession.checkpoint` /
 :meth:`~AdaptationSession.load_checkpoint` that resume a killed stream
-bit-identically.
+bit-identically.  A checkpoint carries BN state only, plus a digest of
+the frozen weights (:func:`~repro.adapt.state.frozen_digest`), so it
+resumes only onto a model with the same weights.
 
 Lifecycle::
 
@@ -29,11 +31,14 @@ Teardown policy (``restore``):
 
 - ``"on_error"`` (default, the streaming contract): the model keeps its
   adapted state on clean exit — deployment semantics — but an
-  exception mid-stream always restores the pristine source state before
+  exception mid-stream always restores the source
+  :class:`~repro.adapt.state.BNState` captured at ``start()`` before
   propagating, so a crashed stream cannot leak poisoned BN statistics
   into whatever runs next on the same model instance.
 - ``"always"`` (the study-runner contract): clean exit restores too,
-  giving episodic evaluation where every stream starts pristine.
+  giving episodic evaluation: each stream leaves the model exactly as
+  it found it — momentum and mode flags included — so every stream of
+  a study starts from the same state.
 """
 
 from __future__ import annotations
@@ -44,22 +49,19 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.adapt import build_method
-from repro.adapt.base import AdaptationMethod, bn_layers
+from repro.adapt.base import AdaptationMethod
+from repro.adapt.state import BNState, frozen_digest
 from repro.core.streaming import StreamScorecard
 from repro.robustness.faults import FaultInjector, FaultSpec, parse_fault_specs
 from repro.robustness.guard import GuardConfig, GuardedAdaptation
 from repro.scenarios.metrics import BatchStats
 from repro.scenarios.schedule import ScenarioSchedule
-from repro.serve.checkpoint import (
-    decode_model_state,
-    decode_state,
-    encode_model_state,
-    encode_state,
-)
+from repro.serve.checkpoint import decode_state, encode_state
 from repro.tensor.tensor import Tensor, no_grad
 
-#: checkpoint document version (bumped on incompatible layout changes)
-CHECKPOINT_VERSION = 1
+#: checkpoint document version (bumped on incompatible layout changes;
+#: older versions are refused, not migrated)
+CHECKPOINT_VERSION = 2
 
 #: valid teardown policies
 _RESTORE_POLICIES = ("on_error", "always")
@@ -115,9 +117,8 @@ class AdaptationSession:
         self.restore = restore
         self._started = False
         self._closed = False
-        # pristine source state captured at start() for teardown/resume
-        self._source_state = None
-        self._source_tracked: List[int] = []
+        # the model's BN state as start() found it, for teardown/resume
+        self._source: Optional[BNState] = None
         # stream accounting
         self.frames_processed = 0
         self.frames_correct = 0
@@ -146,12 +147,10 @@ class AdaptationSession:
         return self._started and not self._closed
 
     def start(self) -> "AdaptationSession":
-        """Snapshot the source state and ``prepare`` the runner."""
+        """Capture the source :class:`BNState` and ``prepare`` the runner."""
         if self._started:
             raise RuntimeError("start() on an already-started session")
-        self._source_state = self.model.state_dict()
-        self._source_tracked = [layer.batches_tracked
-                                for layer in bn_layers(self.model)]
+        self._source = BNState.capture(self.model)
         self.runner.prepare(self.model)
         self._started = True
         return self
@@ -169,9 +168,11 @@ class AdaptationSession:
         """Finish the stream: harvest counters, optionally restore.
 
         ``restore_model=None`` applies the session's ``restore`` policy
-        for a clean finish.  Restoring goes through ``runner.reset()``
-        (the method's own snapshot), which also re-arms train/eval and
-        grad modes — exactly the study runner's per-stream teardown.
+        for a clean finish.  Restoring applies the :class:`BNState`
+        captured at :meth:`start`, so the model ends exactly as it was
+        found — statistics, affine parameters, counters, momentum and
+        mode flags.  The runner is left as is: the next session's
+        ``start()`` re-prepares it.
         """
         if not self._started or self._closed:
             self._closed = True
@@ -180,11 +181,11 @@ class AdaptationSession:
         if restore_model is None:
             restore_model = self.restore == "always"
         if restore_model:
-            self.runner.reset()
+            self._source.apply(self.model)
         self._closed = True
 
     def _sync_counters(self) -> None:
-        """Copy the guard's running counters into the session (pre-reset)."""
+        """Copy the guard's running counters into the session."""
         if self.guarded:
             self.rollbacks = self.runner.rollbacks
             self.degraded_batches = self.runner.degraded_batches
@@ -286,23 +287,23 @@ class AdaptationSession:
     def checkpoint(self) -> dict:
         """Everything needed to resume this stream bit-identically.
 
-        JSON-safe (rides inside journal entries): the pristine source
-        state, the current adapted model state, the runner's runtime
-        state (ladder position, optimizer moments, counters), and the
-        session's own score counters.  Wall-clock fields are included
-        for reporting but are the one thing a resume cannot make
-        bit-identical — the strip-timing comparison contract applies.
+        JSON-safe (rides inside journal entries): the source and current
+        :class:`BNState`, the runner's runtime state (ladder position,
+        optimizer moments, counters), the session's own score counters,
+        and the :func:`~repro.adapt.state.frozen_digest` of the weights
+        no method changes, which :meth:`load_checkpoint` checks instead
+        of carrying them.  Wall-clock fields are included for reporting
+        but are the one thing a resume cannot make bit-identical — the
+        strip-timing comparison contract applies.
         """
         if not self._started:
             raise RuntimeError("checkpoint() before start()")
         return {
             "version": CHECKPOINT_VERSION,
             "tenant": self.tenant,
-            "source": encode_model_state(self._source_state,
-                                         self._source_tracked),
-            "model": encode_model_state(
-                self.model.state_dict(),
-                [layer.batches_tracked for layer in bn_layers(self.model)]),
+            "weights": frozen_digest(self.model),
+            "source": encode_state(self._source.to_tree()),
+            "current": encode_state(BNState.capture(self.model).to_tree()),
             "runner": encode_state(self.runner.runtime_state()),
             "score": {
                 "frames_processed": self.frames_processed,
@@ -318,23 +319,32 @@ class AdaptationSession:
     def load_checkpoint(self, payload: dict) -> "AdaptationSession":
         """Resume a :meth:`checkpoint` onto this (un-started) session.
 
-        The sequence matters: the *source* state is loaded first and the
-        runner prepared over it, so every prepare-time snapshot (the
-        method's pristine snapshot, the guard's drift-reference BN
-        stats) is rebuilt exactly as in the original run; only then is
-        the *adapted* state loaded and the runner's runtime state
-        restored on top.
+        Everything is checked before the model is touched: the version,
+        the frozen-weights digest (a mismatch raises ``ValueError``
+        naming both) and both BN states' layouts.  Then the *source*
+        state is applied and the runner prepared over it, so every
+        prepare-time capture (the method's pristine state, the guard's
+        drift reference) is rebuilt exactly as in the original run;
+        only then is the *current* state applied and the runner's
+        runtime state restored on top.
         """
         if self._started:
             raise RuntimeError("load_checkpoint() on a started session")
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
-                f"unsupported checkpoint version {payload.get('version')!r}")
-        source_state, source_tracked = decode_model_state(payload["source"])
-        self._apply_model_state(source_state, source_tracked)
+                f"unsupported checkpoint version {payload.get('version')!r}"
+                f" (this build reads version {CHECKPOINT_VERSION})")
+        weights = frozen_digest(self.model)
+        if payload["weights"] != weights:
+            raise ValueError(
+                f"checkpoint was cut on frozen weights {payload['weights']}"
+                f" but this model's are {weights}; refusing to resume")
+        source = BNState.from_tree(decode_state(payload["source"]))
+        current = BNState.from_tree(decode_state(payload["current"]))
+        current.check(self.model)    # apply() checks source's layout first
+        source.apply(self.model)
         self.start()
-        adapted_state, adapted_tracked = decode_model_state(payload["model"])
-        self._apply_model_state(adapted_state, adapted_tracked)
+        current.apply(self.model)
         self.runner.load_runtime_state(decode_state(payload["runner"]))
         score = payload["score"]
         self.frames_processed = int(score["frames_processed"])
@@ -346,17 +356,6 @@ class AdaptationSession:
         self.faults_injected = int(score["faults_injected"])
         self._sync_counters()
         return self
-
-    def _apply_model_state(self, state, batches_tracked: List[int]) -> None:
-        """Load a full model state including the BN batch counters."""
-        self.model.load_state_dict(state)
-        layers = bn_layers(self.model)
-        if len(layers) != len(batches_tracked):
-            raise ValueError(
-                f"checkpoint has {len(batches_tracked)} BN counters; "
-                f"model has {len(layers)} BN layers")
-        for layer, tracked in zip(layers, batches_tracked):
-            layer.batches_tracked = int(tracked)
 
     def __repr__(self) -> str:
         return (f"AdaptationSession(tenant={self.tenant!r}, "

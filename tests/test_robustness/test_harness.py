@@ -20,6 +20,8 @@ from repro.data.stream import CorruptionStream
 from repro.robustness import GuardedAdaptation
 from repro.serve.session import AdaptationSession, run_stream
 
+from tests.test_scenarios.conftest import make_tiny_model
+
 BATCHES = 12
 BATCH_SIZE = 32
 FAULTS = "nan@2"        # one poisoned batch, early in the stream
@@ -123,6 +125,22 @@ class TestRunnerIntegration:
         assert record.faults_injected == 1
         assert record.rollbacks >= 1
         assert np.isfinite(record.error_pct)
+
+
+    def test_guarded_faulted_grid_serial_equals_workers(self):
+        """Each stream starts from the BN state the study found — momentum
+        and flags included — so a serial grid, whose cells share one
+        model, scores exactly like cells spread over worker processes."""
+        config = dict(models=("wrn40_2",), methods=("bn_norm", "bn_opt"),
+                      batch_sizes=(16,), image_size=16, stream_samples=128,
+                      corruptions=("gaussian_noise", "fog"),
+                      faults="nan@2", guard=True)
+        dumps = [study_io.canonical_dumps(run_native_study(
+            StudyConfig(workers=workers, **config),
+            models={"wrn40_2": make_tiny_model()}, per_corruption=True),
+            strip_timing=True) for workers in (1, 2)]
+        assert dumps[0] == dumps[1]
+        assert json.loads(dumps[0])["records"][0]["rollbacks"] >= 1
 
 
 def assert_records_equal(left, right):

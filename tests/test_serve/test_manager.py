@@ -8,6 +8,8 @@ the per-tenant scorecard and model bytes must equal an uninterrupted
 twin's exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,49 @@ class TestJournalResume:
         finally:
             second.close()
 
+    def _journal_three_batches(self, tmp_path):
+        journal = str(tmp_path / "serve.jsonl")
+        first = SessionManager(journal=journal)
+        first.open_tenant(self._spec())
+        self._feed(first, "cam0", self._chunks()[:3], faults_at=())
+        del first                            # SIGKILL: no close
+        return journal
+
+    def test_refused_resume_keeps_the_checkpoint(self, tmp_path):
+        second = SessionManager(journal=self._journal_three_batches(tmp_path),
+                                resume=True)
+        try:
+            with pytest.raises(AdmissionError, match="different spec"):
+                second.open_tenant(spec_for("cam0", method="bn_opt",
+                                            guard=True, seed=99))
+            assert second.status()["suspended"] == ["cam0"]
+            opened = second.open_tenant(self._spec())
+            assert opened == {"resumed": True, "batches_done": 3,
+                              "chunk": -1}
+            assert second.status()["suspended"] == []
+        finally:
+            second.close()
+
+    def test_resume_onto_other_weights_refused_and_kept(self, tmp_path,
+                                                        monkeypatch):
+        second = SessionManager(journal=self._journal_three_batches(tmp_path),
+                                resume=True)
+        build = SessionManager._build_session
+        # same spec, but the model comes up with other frozen weights
+        # (say, a retrained cache between daemon lives)
+        monkeypatch.setattr(
+            SessionManager, "_build_session",
+            lambda manager, spec: build(manager, replace(spec, seed=99)))
+        try:
+            with pytest.raises(ValueError, match="frozen weights"):
+                second.open_tenant(self._spec())
+            assert second.status()["suspended"] == ["cam0"]
+            monkeypatch.undo()
+            opened = second.open_tenant(self._spec())
+            assert opened["resumed"] and opened["batches_done"] == 3
+        finally:
+            second.close()
+
     def test_closed_tenant_does_not_resume(self, tmp_path):
         journal = str(tmp_path / "serve.jsonl")
         first = SessionManager(journal=journal)
@@ -260,3 +305,20 @@ class TestCheckpointCost:
             manager.close()
         assert checkpoints == [2, 4, 5]     # batches 2 and 4, then drain
         assert reply["checkpointed"] == ["cam0"]
+
+    def test_journal_grows_at_most_32kb_per_batch(self, tmp_path):
+        """A checkpoint carries BN state, not model copies: for the
+        default tenant (wrn40_2 tiny, bn_opt + guard) each batch's
+        journal entry stays small."""
+        journal = tmp_path / "serve.jsonl"
+        manager = SessionManager(journal=str(journal))
+        sizes = []
+        try:
+            manager.open_tenant(TenantSpec("cam0"))
+            for images, labels in make_batches(3, batch_size=16):
+                manager.ingest("cam0", images, labels)
+                sizes.append(journal.stat().st_size)
+        finally:
+            manager.close()
+        per_batch = (sizes[-1] - sizes[0]) / (len(sizes) - 1)
+        assert 0 < per_batch <= 32 * 1024

@@ -7,12 +7,16 @@ a stream bit-identically — including a guarded BN-Opt ladder that has
 degraded mid-stream.
 """
 
+import json
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.adapt import build_method
+from repro.adapt import BNState, build_method
+from repro.adapt.base import bn_layers
+from repro.adapt.state import frozen_digest
 from repro.robustness.guard import GuardedAdaptation
 from repro.serve.session import AdaptationSession
 
@@ -96,6 +100,28 @@ class TestTeardown:
             session.process_batch(*batches[0])
         assert_states_identical(source, model.state_dict())
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_restore_leaves_model_as_found(self, batches, crash):
+        """Momentum, counters and flags come back too, not only arrays:
+        a guarded bn_opt stream that degraded to bn_norm (momentum 1.0)
+        and re-escalated must not hand that momentum to the next
+        stream, whether it finished ("always") or died ("on_error")."""
+        model = make_model()
+        found = BNState.capture(model)
+        session = AdaptationSession(
+            model, "bn_opt", guard=True,
+            restore="on_error" if crash else "always")
+        with pytest.raises(RuntimeError) if crash else nullcontext():
+            with session:
+                for images, labels in poison(batches, {1}):
+                    session.process_batch(images, labels)
+                assert session.runner.level_name == "bn_opt"
+                assert {layer.momentum
+                        for layer in bn_layers(model)} == {1.0}
+                if crash:
+                    raise RuntimeError("stream died")
+        assert BNState.capture(model) == found
+
     def test_process_outside_lifecycle_raises(self, batches):
         session = AdaptationSession(make_model(), "no_adapt")
         with pytest.raises(RuntimeError):
@@ -167,10 +193,9 @@ class TestCheckpointResume:
         self._run(first, stream[:5])
         payload = first.checkpoint()
         # the checkpoint must survive its journal/wire JSON round trip
-        import json
         payload = json.loads(json.dumps(payload))
 
-        resumed = AdaptationSession(make_model(seed=99), method,
+        resumed = AdaptationSession(make_model(), method,
                                     guard=guard, tenant="t")
         resumed.load_checkpoint(payload)
         assert resumed.batches_total == 5
@@ -192,7 +217,7 @@ class TestCheckpointResume:
         assert guard.rollbacks >= 1          # the fault degraded the ladder
         payload = first.checkpoint()
 
-        resumed = AdaptationSession(make_model(seed=5), "bn_opt", guard=True)
+        resumed = AdaptationSession(make_model(), "bn_opt", guard=True)
         resumed.load_checkpoint(payload)
         restored = resumed.runner
         assert restored.rollbacks == guard.rollbacks
@@ -208,7 +233,7 @@ class TestCheckpointResume:
         self._run(session, make_batches(3))
         payload = session.checkpoint()
 
-        resumed = AdaptationSession(make_model(seed=123), "bn_norm")
+        resumed = AdaptationSession(make_model(), "bn_norm")
         resumed.load_checkpoint(payload)
         resumed.close(restore_model=True)
         assert_states_identical(source, resumed.model.state_dict())
@@ -226,3 +251,57 @@ class TestCheckpointResume:
         session = AdaptationSession(make_model(), "no_adapt")
         with pytest.raises(ValueError, match="version"):
             session.load_checkpoint({"version": 999})
+
+    def test_other_weights_refused_untouched(self, batches):
+        first = AdaptationSession(make_model(), "bn_norm").start()
+        self._run(first, batches[:2])
+        payload = first.checkpoint()
+
+        other = make_model(seed=99)
+        state, bn = other.state_dict(), BNState.capture(other)
+        with pytest.raises(ValueError) as refused:
+            AdaptationSession(other, "bn_norm").load_checkpoint(payload)
+        # the message names both digests
+        assert payload["weights"] in str(refused.value)
+        assert frozen_digest(other) in str(refused.value)
+        assert_states_identical(state, other.state_dict())
+        assert BNState.capture(other) == bn
+
+
+class TestResumeAtEveryBoundary:
+    """bn_opt + guard, poisoned at batch 1: a cut after any batch K
+    resumes onto the same weights and finishes like the uninterrupted
+    twin — including the momentum the guard's bn_norm rung left on the
+    BN layers, which the re-escalated bn_opt rung keeps using."""
+
+    BATCHES = 12
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return poison(make_batches(self.BATCHES), {1})
+
+    @pytest.fixture(scope="class")
+    def twin(self, stream):
+        session = AdaptationSession(make_model(), "bn_opt", guard=True)
+        with session:
+            for images, labels in stream:
+                session.process_batch(images, labels)
+        return session
+
+    @pytest.mark.parametrize("cut", range(1, BATCHES))
+    def test_resume_matches_twin(self, stream, twin, cut):
+        first = AdaptationSession(make_model(), "bn_opt", guard=True).start()
+        for images, labels in stream[:cut]:
+            first.process_batch(images, labels)
+        payload = json.loads(json.dumps(first.checkpoint()))
+
+        resumed = AdaptationSession(make_model(), "bn_opt", guard=True)
+        resumed.load_checkpoint(payload)
+        for images, labels in stream[cut:]:
+            resumed.process_batch(images, labels)
+
+        assert strip_timing(resumed.scorecard()) == \
+            strip_timing(twin.scorecard())
+        assert_states_identical(twin.model.state_dict(),
+                                resumed.model.state_dict())
+        assert BNState.capture(resumed.model) == BNState.capture(twin.model)
