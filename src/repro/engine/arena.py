@@ -2,9 +2,9 @@
 
 The paper's latency breakdowns attribute most of the edge-CPU forward
 time to conv leaf ops, and a real fraction of *that* is allocator
-traffic: every im2col convolution call allocates a padded-input copy and
-(in the backward pass) a ``(N, C, kh, kw, Ho, Wo)`` column gradient that
-dies microseconds later.  The arena keeps those short-lived workspaces
+traffic: every im2col convolution call needs a padded-input copy, an
+im2col patch matrix and (in the backward pass) a column gradient of the
+same size, all of which die microseconds later.  The arena keeps those short-lived workspaces
 alive in a free-pool keyed by ``(shape, dtype)`` so steady-state
 adaptation loops — which see the same batch/feature shapes every batch —
 stop allocating after the first iteration.
@@ -12,8 +12,8 @@ stop allocating after the first iteration.
 Safety contract: only buffers that provably do not escape an op may be
 released back to the pool.  Backends release (a) padded-input copies
 once the autograd closure that captured them has run (or immediately,
-when no graph is recorded) and (b) column-gradient scratch consumed by
-col2im.  Everything that escapes (op outputs, gradients handed to
+when no graph is recorded) and (b) the im2col patches and the
+column-gradient scratch consumed by col2im before the kernel returns.  Everything that escapes (op outputs, gradients handed to
 ``Tensor._send_grad``) is allocated fresh.
 """
 

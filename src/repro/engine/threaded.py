@@ -1,9 +1,10 @@
 """Batch-sharded threaded backend.
 
-Numpy releases the GIL inside BLAS / einsum kernels, so sharding the
-batch dimension across a ``ThreadPoolExecutor`` gives real parallelism
-for the conv and matmul leaf ops that dominate the paper's edge-CPU
-latency breakdowns — without any native code.
+Numpy releases the GIL inside BLAS calls and its array copy loops — the
+im2col gather and the ``matmul`` that make up a conv kernel — so
+sharding the batch dimension across a ``ThreadPoolExecutor`` gives real
+parallelism for the conv and matmul leaf ops that dominate the paper's
+edge-CPU latency breakdowns — without any native code.
 
 Determinism: shards cover contiguous, disjoint batch slices.  Outputs
 and input gradients are written into disjoint slices of a preallocated

@@ -1,10 +1,12 @@
 """Convolution and pooling primitives with hand-written backward passes.
 
-Layout convention is NCHW throughout (matching PyTorch).  Convolution is
-a zero-copy strided im2col view plus an einsum contraction that handles
-standard, grouped, and depthwise convolution uniformly — the three
-flavours needed by ResNet-18 / Wide-ResNet (groups=1), ResNeXt (grouped
-3x3), and MobileNetV2 (depthwise).
+Shapes are NCHW throughout (matching PyTorch); memory order is the
+backend's to choose (the NumpyBackend returns a ``groups=1`` conv output
+NHWC in memory).  Convolution is an im2col gather plus one batched
+matmul per direction over per-group stacks, which handles standard,
+grouped, and depthwise convolution uniformly — the three flavours
+needed by ResNet-18 / Wide-ResNet (groups=1), ResNeXt (grouped 3x3), and
+MobileNetV2 (depthwise).
 
 This module owns the autograd bookkeeping only; the actual kernels are
 dispatched to the active execution backend (:mod:`repro.engine`), which

@@ -81,10 +81,13 @@ def batch_norm_eval(
     scale = gamma.data * inv_std
     shift = beta.data - running_mean * scale
     out_data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
-    xhat = (x.data - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
+    # only gamma's gradient reads xhat: build it there, from the mean as
+    # it was now (train-mode BN updates the running buffers in place)
+    mean = running_mean.copy()
 
     def backward(grad: np.ndarray) -> None:
         if gamma.requires_grad:
+            xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
             out._send_grad(gamma, (grad * xhat).sum(axis=(0, 2, 3)))
         if beta.requires_grad:
             out._send_grad(beta, grad.sum(axis=(0, 2, 3)))

@@ -61,6 +61,24 @@ class TestBatchNormEval:
         assert abs(eval_out.data.mean()) > 4.0
         assert abs(train_out.data.mean()) < 1e-4
 
+    def test_gamma_grad_normalizes_with_forward_time_mean(self, rng):
+        """gamma's gradient uses the running mean the forward saw, even
+        when the buffer is updated in place (as train-mode BN does)
+        before backward runs."""
+        x = Tensor(rng.standard_normal((4, 3, 5, 5)).astype(np.float32))
+        gamma = Tensor(np.ones(3, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        mean = rng.standard_normal(3).astype(np.float32)
+        var = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+        grad = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        out = F.batch_norm_eval(x, gamma, beta, mean, var)
+        mean += 1.0
+        out.backward(grad)
+        np.testing.assert_array_equal(gamma.grad,
+                                      (grad * xhat).sum(axis=(0, 2, 3)))
+
 
 class TestSoftmaxFamily:
     def test_softmax_sums_to_one(self, rng):
