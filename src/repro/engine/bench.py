@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.engine import Backend, create_backend, use_backend
+from repro.engine.blas import blas_threads
 
 DEFAULT_BENCH_PATH = "BENCH_engine.json"
 
@@ -165,8 +166,11 @@ def _bench_sweep(workers: int, seed: int) -> dict:
         section[label] = {"wall_s": wall, "cells_per_s": cells / wall}
         if label == "parallel":
             section[label]["workers"] = workers
-    section["speedup_parallel_vs_serial"] = (
-        section["parallel"]["cells_per_s"] / section["serial"]["cells_per_s"])
+    if workers > 1:
+        # one worker process measures spawn overhead, not parallelism
+        section["speedup_parallel_vs_serial"] = (
+            section["parallel"]["cells_per_s"]
+            / section["serial"]["cells_per_s"])
     return section
 
 
@@ -224,14 +228,17 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "blas_threads": blas_threads(),
         },
         "backends": results,
     }
-    if "numpy" in results and "threaded" in results:
+    # a one-thread threaded backend never shards: its ratio is overhead
+    threaded = results.get("threaded", {})
+    if "numpy" in results and threaded.get("threads", 1) > 1:
         doc["speedup_threaded_vs_numpy"] = {
-            op: results["numpy"][op]["best_s"] / results["threaded"][op]["best_s"]
+            op: results["numpy"][op]["best_s"] / threaded[op]["best_s"]
             for op in ("conv_forward", "conv_backward", "bn_opt_step")
-            if results["threaded"][op]["best_s"] > 0
+            if threaded[op]["best_s"] > 0
         }
     if sweep:
         doc["sweep"] = _bench_sweep(sweep_workers or os.cpu_count() or 1,
@@ -280,12 +287,13 @@ def format_engine_bench(doc: dict) -> str:
         lines.append(f"threaded speedup vs numpy: {rendered}")
     sweep = doc.get("sweep")
     if sweep:
+        speedup = sweep.get("speedup_parallel_vs_serial")
         lines.append(
             f"sweep ({sweep['cells']} cells): "
             f"serial {sweep['serial']['cells_per_s']:.2f} cells/s, "
             f"parallel[{sweep['parallel']['workers']}] "
-            f"{sweep['parallel']['cells_per_s']:.2f} cells/s "
-            f"(x{sweep['speedup_parallel_vs_serial']:.2f})")
+            f"{sweep['parallel']['cells_per_s']:.2f} cells/s"
+            + (f" (x{speedup:.2f})" if speedup is not None else ""))
     serving = doc.get("serving")
     if serving:
         lines.append(format_serving_section(serving))

@@ -15,6 +15,11 @@ thread completion order.  Results therefore match
 input-grad paths and to floating-point reassociation (~1e-6 in float32)
 for the weight gradient — which is why the cross-backend gradcheck suite
 passes unchanged.
+
+While its pool exists the backend holds BLAS at one thread
+(:mod:`repro.engine.blas`): the shards are the parallelism, and each
+shard's ``matmul`` waking a per-core BLAS pool would only oversubscribe
+the cores the shards already occupy.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.blas import SingleBlasThread
 from repro.engine.numpy_backend import NumpyBackend
 
 
@@ -55,10 +61,12 @@ class ThreadedBackend(NumpyBackend):
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.min_shard = max(1, int(min_shard))
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._blas: Optional[SingleBlasThread] = None
 
     # -- pool management -----------------------------------------------
     def _executor(self) -> ThreadPoolExecutor:
         if self._pool is None:
+            self._blas = SingleBlasThread()
             self._pool = ThreadPoolExecutor(
                 max_workers=self.threads,
                 thread_name_prefix="repro-engine")
@@ -68,6 +76,8 @@ class ThreadedBackend(NumpyBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+            self._blas.release()
+            self._blas = None
         super().close()
 
     def _shards(self, n: int) -> List[Tuple[int, int]]:

@@ -22,6 +22,11 @@ Before a cell runs, the worker reseeds numpy's *global* RNG from
 expected to use its own seeded generators (the native runner does), but
 the reseed makes any stray ``np.random`` use deterministic per cell
 rather than dependent on which worker picked the cell up.
+
+A worker holds BLAS at one thread for its whole life
+(:mod:`repro.engine.blas`): the worker processes are the sweep's
+parallelism, and a per-core BLAS pool in each would oversubscribe the
+cores they share.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 from repro.core.records import MeasurementRecord
 from repro.core.executor import (CellSpec, RetryPolicy,
                                        run_cell_attempts)
+from repro.engine.blas import SingleBlasThread
 
 #: a cell runner: module-level callable of (payload, spec) -> records
 CellRunner = Callable[[Any, CellSpec], List[MeasurementRecord]]
@@ -67,6 +73,7 @@ def worker_main(worker_id: int, task_queue, event_queue,
         event_queue.put({**entry, "worker": worker_id})
 
     emit({"event": "worker_start"})
+    blas = SingleBlasThread()
     try:
         while True:
             task = task_queue.get()
@@ -90,4 +97,5 @@ def worker_main(worker_id: int, task_queue, event_queue,
               "traceback": traceback.format_exc()})
         raise
     finally:
+        blas.release()
         emit({"event": "worker_exit"})

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.engine import create_backend, use_backend
+from repro.engine.blas import blas_threads
 from repro.models.registry import build_model
 from repro.nn import init as nn_init
 from repro.resilience.journal import RunJournal
@@ -166,7 +167,6 @@ class SessionManager:
         self.evictions = 0
         self.compactions = 0
         self._backend = create_backend(backend)
-        self._scheduler = BatchScheduler(workers=workers)
         self._tenants: Dict[str, _Tenant] = {}
         self._tenants_lock = threading.Lock()
         self._journal_lock = threading.Lock()
@@ -178,6 +178,9 @@ class SessionManager:
                 self._saved = self._scan_saved()
             self._append({"event": "serve_start",
                           "resumed_tenants": sorted(self._saved)})
+        # last: a journal that fails to open or scan must not leave
+        # worker threads (and their one-thread BLAS hold) behind
+        self._scheduler = BatchScheduler(workers=workers)
 
     # -- journal -------------------------------------------------------
 
@@ -565,7 +568,8 @@ class SessionManager:
         return {"tenants": tenants, "suspended": suspended,
                 "max_tenants": self.max_tenants,
                 "evictions": self.evictions, "journal": journal,
-                "scheduler": self._scheduler.stats()}
+                "scheduler": dict(self._scheduler.stats(),
+                                  blas_threads=blas_threads())}
 
     def close(self, *, close_tenants: bool = True) -> None:
         """Shut the manager down: close sessions, journal, backend.

@@ -25,6 +25,11 @@ completes, so a hot tenant with a deep queue cannot starve a cold one
 Submitters get a :class:`BatchTicket` per item and wait on it; the ack
 a client sees is therefore still synchronous (`batches_done` reflects
 every batch of the chunk), only the execution is pooled.
+
+From :meth:`BatchScheduler.start` until its threads have joined in
+:meth:`BatchScheduler.close` the scheduler holds BLAS at one thread
+(:mod:`repro.engine.blas`): its workers are the parallelism, and a
+per-``matmul`` BLAS pool on top of them only oversubscribes the cores.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
+
+from repro.engine.blas import SingleBlasThread
 
 __all__ = ["BatchScheduler", "BatchTicket", "SchedulerClosedError"]
 
@@ -112,6 +119,7 @@ class BatchScheduler:
         self._dispatched = 0
         self._closed = False
         self._threads: List[threading.Thread] = []
+        self._blas: Optional[SingleBlasThread] = None
         if start:
             self.start()
 
@@ -141,15 +149,24 @@ class BatchScheduler:
     def start(self) -> None:
         """Start the worker pool (idempotent)."""
         started: List[threading.Thread] = []
-        with self._cond:
-            if self._closed:
-                raise SchedulerClosedError("scheduler is closed")
-            while len(self._threads) < self.workers:
-                thread = threading.Thread(
-                    target=self._work, daemon=True,
-                    name=f"serve-batch-{len(self._threads)}")
-                self._threads.append(thread)
-                started.append(thread)
+        # entered outside ``_cond`` so the two locks never nest; a
+        # repeated start() drops its spare hold again
+        hold: Optional[SingleBlasThread] = SingleBlasThread()
+        try:
+            with self._cond:
+                if self._closed:
+                    raise SchedulerClosedError("scheduler is closed")
+                if self._blas is None:
+                    self._blas, hold = hold, None
+                while len(self._threads) < self.workers:
+                    thread = threading.Thread(
+                        target=self._work, daemon=True,
+                        name=f"serve-batch-{len(self._threads)}")
+                    self._threads.append(thread)
+                    started.append(thread)
+        finally:
+            if hold is not None:
+                hold.release()
         for thread in started:
             thread.start()
 
@@ -224,6 +241,7 @@ class BatchScheduler:
             if self._closed:
                 return
             self._closed = True
+            hold, self._blas = self._blas, None
             stranded = [ticket for queue in self._queues.values()
                         for _, ticket in queue.items]
             self._queues.clear()
@@ -238,3 +256,5 @@ class BatchScheduler:
                 thread.join(timeout=timeout)
         with self._cond:
             self._threads.clear()
+        if hold is not None:
+            hold.release()

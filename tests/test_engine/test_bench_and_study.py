@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import runner
 from repro.core.config import StudyConfig
 from repro.core.runner import _GRID_SUMMARY_CACHE, run_native_study
-from repro.engine.bench import format_engine_bench, run_engine_bench, write_engine_bench
+from repro.engine.bench import (_bench_sweep, format_engine_bench,
+                                run_engine_bench, write_engine_bench)
+from repro.engine.blas import blas_threads
 
 
 QUICK = dict(batch=8, channels=4, size=8, repeats=1)
@@ -37,6 +40,30 @@ class TestEngineBench:
         text = format_engine_bench(doc)
         assert "numpy" in text and "threaded" in text
         assert "speedup" in text
+
+    def test_host_stamps_blas_threads(self, doc):
+        stamped = doc["host"]["blas_threads"]
+        if blas_threads() is None:
+            assert stamped is None
+        else:
+            assert stamped >= 1
+
+    def test_one_thread_backend_has_no_speedup(self):
+        doc = run_engine_bench(backends=("numpy", "threaded"), threads=1,
+                               **QUICK)
+        assert doc["backends"]["threaded"]["threads"] == 1
+        assert "speedup_threaded_vs_numpy" not in doc
+        assert "speedup" not in format_engine_bench(doc)
+
+    def test_one_worker_sweep_has_no_speedup(self, monkeypatch):
+        monkeypatch.setattr(runner, "run_native_study",
+                            lambda config, models: None)
+        sweep = _bench_sweep(workers=1, seed=0)
+        assert "speedup_parallel_vs_serial" not in sweep
+        assert _bench_sweep(workers=2, seed=0)["speedup_parallel_vs_serial"] > 0
+        doc = run_engine_bench(backends=("numpy",), **QUICK)
+        text = format_engine_bench(dict(doc, sweep=sweep))
+        assert "parallel[1]" in text and "(x" not in text
 
     def test_write_engine_bench(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"

@@ -7,8 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.engine.blas import blas_threads
 from repro.models.wide_resnet import wide_resnet40_2
 from repro.nn import init as nn_init
+
+#: the ``blas_threads`` a running manager's status reports: its
+#: scheduler holds BLAS at one thread, unless none can be controlled
+HELD_BLAS_THREADS = None if blas_threads() is None else 1
 
 
 def make_model(seed: int = 7):

@@ -18,7 +18,7 @@ from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
 from repro.serve.manager import SessionManager, TenantSpec
 
-from tests.test_serve.conftest import make_batches
+from tests.test_serve.conftest import HELD_BLAS_THREADS, make_batches
 
 
 def spec_for(tenant, **overrides):
@@ -110,6 +110,8 @@ class TestConnectionAccounting:
                 status = second.status()
                 assert status["connections"] >= 2
                 assert status["scheduler"]["workers"] >= 1
+                assert status["scheduler"]["blas_threads"] == \
+                    HELD_BLAS_THREADS
             assert first.status()["connections"] >= 1
 
     def test_many_idle_connections_then_one_worker(self, daemon):

@@ -14,6 +14,7 @@ from repro.serve.scheduler import (
 )
 
 from tests.test_serve.conftest import (
+    HELD_BLAS_THREADS,
     assert_states_identical,
     make_batches,
     strip_timing,
@@ -233,5 +234,6 @@ class TestManagerScheduling:
             assert stats["workers"] == 3
             assert stats["dispatched"] >= 1
             assert stats["queued"] == 0 and stats["in_flight"] == 0
+            assert stats["blas_threads"] == HELD_BLAS_THREADS
         finally:
             manager.close()
