@@ -24,81 +24,60 @@ daemon-less threads, condition misuse) and the runtime lock-order
 watchdog (:mod:`repro.analysis.lockwatch` — ``instrument_locks()``
 patches lock construction to record per-thread acquisition stacks and
 report inversions/long holds; opt in with ``REPRO_LOCKWATCH=1``).
+
+The package imports nothing up front: each name below loads its
+submodule on first access.  The serve daemon imports
+:mod:`repro.analysis.lockwatch` on every start, and should not load the
+rule engine, the rules and the reporters with it.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.concurrency import LockEdge, lock_order_findings
-from repro.analysis.context import FileContext
-from repro.analysis.engine import (
-    PARSE_ERROR_CODE,
-    RuleEngine,
-    UsageError,
-    check_paths,
-    iter_python_files,
-    resolve_codes,
-)
-from repro.analysis.findings import Finding, finding_from_dict
-from repro.analysis.lockwatch import (
-    LockInversionError,
-    LockWatch,
-    active_watch,
-    finish_watch,
-    instrument_locks,
-    lockwatch_enabled,
-    maybe_instrument,
-)
-from repro.analysis.reporters import (
-    format_github,
-    format_json,
-    format_rule_catalog,
-    format_text,
-)
-from repro.analysis.rules import RULE_CODES, RULES, RULES_BY_CODE, Rule
-from repro.analysis.sanitize import (
-    NumericFaultError,
-    SanitizerBackend,
-    SanitizerFinding,
-)
+import importlib
 
-__all__ = [
-    "BaselineError",
-    "FileContext",
-    "Finding",
-    "LockEdge",
-    "LockInversionError",
-    "LockWatch",
-    "NumericFaultError",
-    "PARSE_ERROR_CODE",
-    "Rule",
-    "RuleEngine",
-    "RULES",
-    "RULES_BY_CODE",
-    "RULE_CODES",
-    "SanitizerBackend",
-    "SanitizerFinding",
-    "UsageError",
-    "active_watch",
-    "apply_baseline",
-    "check_paths",
-    "finding_from_dict",
-    "finish_watch",
-    "format_github",
-    "format_json",
-    "format_rule_catalog",
-    "format_text",
-    "instrument_locks",
-    "iter_python_files",
-    "load_baseline",
-    "lock_order_findings",
-    "lockwatch_enabled",
-    "maybe_instrument",
-    "resolve_codes",
-    "write_baseline",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "BaselineError": "baseline",
+    "apply_baseline": "baseline",
+    "load_baseline": "baseline",
+    "write_baseline": "baseline",
+    "LockEdge": "concurrency",
+    "lock_order_findings": "concurrency",
+    "FileContext": "context",
+    "PARSE_ERROR_CODE": "engine",
+    "RuleEngine": "engine",
+    "UsageError": "engine",
+    "check_paths": "engine",
+    "iter_python_files": "engine",
+    "resolve_codes": "engine",
+    "Finding": "findings",
+    "finding_from_dict": "findings",
+    "LockInversionError": "lockwatch",
+    "LockWatch": "lockwatch",
+    "active_watch": "lockwatch",
+    "finish_watch": "lockwatch",
+    "instrument_locks": "lockwatch",
+    "lockwatch_enabled": "lockwatch",
+    "maybe_instrument": "lockwatch",
+    "format_github": "reporters",
+    "format_json": "reporters",
+    "format_rule_catalog": "reporters",
+    "format_text": "reporters",
+    "RULE_CODES": "rules",
+    "RULES": "rules",
+    "RULES_BY_CODE": "rules",
+    "Rule": "rules",
+    "NumericFaultError": "sanitize",
+    "SanitizerBackend": "sanitize",
+    "SanitizerFinding": "sanitize",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -96,17 +96,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import StudyConfig
-from repro.core.objectives import format_selection_table
 from repro.core.records import StudyResult
-from repro.core.report import (
-    render_error_grid,
-    render_forward_times,
-    render_mobilenet_table,
-    render_overall,
-    render_tradeoffs,
-)
-from repro.core.runner import (run_simulated_study, segment_records,
-                               stream_record)
 from repro.devices.catalog import DEVICE_NAMES, list_devices
 from repro.engine import BACKEND_NAMES, create_backend, set_default_backend
 
@@ -130,11 +120,16 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 
 
 def _run_study(device: Optional[str]) -> StudyResult:
+    from repro.core.runner import run_simulated_study
+
     devices = (device,) if device else DEVICE_NAMES
     return run_simulated_study(StudyConfig(devices=devices))
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from repro.core.objectives import format_selection_table
+    from repro.core.report import render_forward_times
+
     result = _run_study(args.device)
     if args.json:
         from repro.core.io import save_json
@@ -156,6 +151,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.core.report import (render_error_grid, render_forward_times,
+                                   render_mobilenet_table, render_overall,
+                                   render_tradeoffs)
+    from repro.core.runner import run_simulated_study
+
     study = run_simulated_study(StudyConfig())
     print(render_error_grid())
     print()
@@ -186,6 +186,7 @@ def _cmd_anchors(args: argparse.Namespace) -> int:
 
 def _cmd_insights(args: argparse.Namespace) -> int:
     from repro.core.insights import derive_insights, format_insights
+    from repro.core.runner import run_simulated_study
     from repro.models.registry import MODEL_NAMES, build_model
     from repro.models.summary import summarize
 
@@ -258,6 +259,7 @@ def _print_scenario_outcome(outcome) -> None:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.executor import CellSpec
+    from repro.core.runner import segment_records, stream_record
     from repro.data.stream import CorruptionStream
     from repro.data.synthetic import make_synth_cifar
     from repro.models import build_model
@@ -388,9 +390,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend=args.backend or "numpy", max_tenants=args.max_tenants,
             checkpoint_every=args.checkpoint_every,
             compact_above=args.compact_above, workers=args.workers)
-        daemon = ServeDaemon(manager, args.host, args.port,
-                             io_timeout=args.io_timeout,
-                             idle_evict_s=args.idle_evict)
+        try:
+            daemon = ServeDaemon(manager, args.host, args.port,
+                                 io_timeout=args.io_timeout,
+                                 idle_evict_s=args.idle_evict)
+        except OSError as error:
+            # no daemon owns the manager yet: stop its scheduler threads
+            # and release its BLAS hold and journal here
+            manager.close()
+            print(f"error: cannot listen on {args.host}:{args.port}: "
+                  f"{error}", file=sys.stderr)
+            return 1
+        except BaseException:
+            manager.close()
+            raise
         host, port = daemon.address
         # flushed before blocking: test/CI wrappers parse this line to
         # learn the bound port (especially with --port 0)

@@ -22,6 +22,12 @@ paper's experiments:
   accuracy grid reconstructed to satisfy every stated value and
   aggregate; see the module docstring).
 - :mod:`repro.core.report` — text renderers for each figure/table.
+
+``run_simulated_study`` and ``run_native_study`` are re-exported lazily:
+the runner module loads on first use, not with the package.  It pulls
+in the device models, the trainer, the scenario engine and the serve
+session, and a caller that needs only the grid's names (the CLI's
+parser, the serve daemon) should not pay for them.
 """
 
 from repro.core.config import (
@@ -41,7 +47,6 @@ from repro.core.objectives import (
 )
 from repro.core.pareto import pareto_front
 from repro.core.records import MeasurementRecord, StudyResult
-from repro.core.runner import run_native_study, run_simulated_study
 
 __all__ = [
     "Case",
@@ -61,3 +66,13 @@ __all__ = [
     "select_best",
     "pareto_front",
 ]
+
+
+_RUNNER_EXPORTS = ("run_native_study", "run_simulated_study")
+
+
+def __getattr__(name: str):
+    if name in _RUNNER_EXPORTS:
+        from repro.core import runner
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,10 +25,11 @@ The executor is generic over what a cell computes; only
 synthesize a placeholder record when a cell ultimately fails).
 
 The per-cell attempt loop lives in the module-level
-:func:`run_cell_attempts` (parameterized by a :class:`RetryPolicy` and
-an ``emit`` callback for journal-schema events) so the process-parallel
-scheduler (:mod:`repro.parallel`) drives the *same* retry, watchdog,
-and journaling semantics from inside its worker processes — the only
+:func:`run_cell_attempts` (parameterized by a
+:class:`~repro.resilience.retry.RetryPolicy` and an ``emit`` callback
+for journal-schema events) so the process-parallel scheduler
+(:mod:`repro.parallel`) drives the *same* retry, watchdog, and
+journaling semantics from inside its worker processes — the only
 difference is where the emitted events end up (appended to the journal
 directly here; funnelled through the single-writer result queue there).
 """
@@ -38,15 +39,13 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.io import record_from_dict, record_to_dict
 from repro.core.records import MeasurementRecord, StudyResult
 from repro.resilience.journal import RunJournal
+from repro.resilience.retry import RetryPolicy
 
 
 class CellTimeoutError(RuntimeError):
@@ -78,37 +77,6 @@ class ExecutorStats:
     skipped: int = 0
     failed: int = 0
     retries: int = 0
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How a cell's attempts are bounded, spaced, and deadlined.
-
-    Shared by :class:`ResilientExecutor` (serial) and the worker
-    processes of :class:`repro.parallel.ParallelExecutor`; being frozen
-    and plain-data it pickles across a ``spawn`` boundary.
-    """
-
-    max_retries: int = 0
-    cell_timeout: float = 0.0
-    backoff_base: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-
-    @property
-    def attempts(self) -> int:
-        return self.max_retries + 1
-
-    def backoff_delay(self, key: str, attempt: int) -> float:
-        """Seeded jittered exponential backoff before attempt+1."""
-        rng = np.random.default_rng(
-            (self.seed, zlib.crc32(key.encode("utf-8")), attempt))
-        return self.backoff_base * (2.0 ** (attempt - 1)) \
-            * float(rng.uniform(0.5, 1.5))
 
 
 def call_with_deadline(fn: CellFn, timeout: float) -> List[MeasurementRecord]:

@@ -26,7 +26,6 @@ from repro.core.config import StudyConfig
 from repro.core.executor import CellSpec, ResilientExecutor
 from repro.core.records import MeasurementRecord, StudyResult
 from repro.core.reference import reference_error_pct
-from repro.core.streaming import StreamScorecard
 from repro.data.stream import CorruptionStream
 from repro.data.synthetic import make_synth_cifar
 from repro.devices.calibrate import METHOD_FLAGS
@@ -40,7 +39,7 @@ from repro.models.summary import ModelSummary, summarize
 from repro.resilience.journal import RunJournal
 from repro.robustness.faults import parse_fault_specs
 from repro.robustness.guard import GuardedAdaptation
-from repro.scenarios.metrics import ScenarioOutcome
+from repro.scenarios.metrics import ScenarioOutcome, StreamScorecard
 from repro.scenarios.stream import ScenarioStream
 from repro.serve.session import AdaptationSession, run_stream
 from repro.train.trainer import pretrain_robust

@@ -34,62 +34,12 @@ from repro.devices.spec import DeviceSpec
 from repro.models.summary import ModelSummary
 from repro.robustness.faults import POISONING_FAULTS
 from repro.robustness.guard import LADDER
+from repro.scenarios.metrics import StreamScorecard
 from repro.scenarios.schedule import ScenarioSchedule, as_schedule
 
 #: rollbacks a guarded poisoning batch costs = ladder rungs tried before
 #: the uniform fallback answers it (bn_opt -> bn_norm -> no_adapt)
 _LADDER_DEPTH = {name: len(LADDER) - LADDER.index(name) for name in LADDER}
-
-
-@dataclass(frozen=True)
-class StreamScorecard:
-    """Outcome of one real-time streaming simulation."""
-
-    frames_total: int
-    frames_processed: int
-    frames_dropped: int
-    batches_late: int          # batches finished after their deadline
-    batches_total: int
-    mean_frame_latency_s: float   # arrival -> result, averaged
-    effective_error_pct: float    # processed at adapted error, drops at baseline
-    energy_j: float
-    wall_time_s: float
-    # guard/fault accounting (repro.robustness); all zero for clean
-    # unguarded runs so pre-robustness callers are unaffected
-    faults_injected: int = 0
-    rollbacks: int = 0            # BN-snapshot restores by the guard
-    degraded_batches: int = 0     # batches served below the requested method
-    fallback_frames: int = 0      # frames answered by the bottom-rung fallback
-    #: serve-daemon tenant this card scores ("" = single-stream run)
-    tenant: str = ""
-    #: compact scenario spec the stream followed ("" = plain i.i.d.
-    #: single-corruption stream); see :mod:`repro.scenarios`
-    scenario: str = ""
-
-    @property
-    def drop_rate(self) -> float:
-        return self.frames_dropped / self.frames_total if self.frames_total else 0.0
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        return self.batches_late / self.batches_total if self.batches_total else 0.0
-
-    def describe(self) -> str:
-        text = (f"[{self.tenant}] " if self.tenant else "")
-        if self.scenario:
-            text += f"<{self.scenario}> "
-        text += (f"{self.frames_processed}/{self.frames_total} frames "
-                f"processed ({self.drop_rate:.0%} dropped), "
-                f"{self.deadline_miss_rate:.0%} batches late, "
-                f"latency {self.mean_frame_latency_s * 1e3:.0f} ms/frame, "
-                f"effective error {self.effective_error_pct:.2f}%, "
-                f"{self.energy_j:.1f} J")
-        if self.faults_injected or self.rollbacks or self.degraded_batches:
-            text += (f" | guard: {self.faults_injected} faults, "
-                     f"{self.rollbacks} rollbacks, "
-                     f"{self.degraded_batches} degraded batches, "
-                     f"{self.fallback_frames} fallback frames")
-        return text
 
 
 @dataclass

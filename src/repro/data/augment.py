@@ -14,16 +14,20 @@ from __future__ import annotations
 from typing import Callable, List
 
 import numpy as np
-from scipy import ndimage
+
+# scipy is imported inside the functions that use it: importing
+# repro.data must not load it (see repro.data.corruptions).
 
 
 def _rotate(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    from scipy import ndimage
     angle = rng.uniform(-20, 20)
     return ndimage.rotate(image, angle, axes=(-2, -1), reshape=False,
                           order=1, mode="reflect")
 
 
 def _shear(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    from scipy import ndimage
     shear = rng.uniform(-0.2, 0.2)
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, shear], [0.0, 0.0, 1.0]])
     return np.stack([

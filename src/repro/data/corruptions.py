@@ -19,8 +19,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 import numpy as np
-from scipy import fft as scipy_fft
-from scipy import ndimage
+
+# scipy is imported inside the functions that use it: the serve daemon
+# imports this module (for CORRUPTION_NAMES) but never corrupts a frame,
+# and loading scipy would be most of the daemon's start-up time and
+# ~20 MB of its resident memory.
 
 SEVERITIES = (1, 2, 3, 4, 5)
 
@@ -84,6 +87,7 @@ def _disk_kernel(radius: float) -> np.ndarray:
 
 
 def _convolve_channels(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
     return np.stack([ndimage.convolve(channel, kernel, mode="reflect")
                      for channel in image])
 
@@ -96,6 +100,7 @@ def defocus_blur(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
 
 def glass_blur(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
     """Local random pixel swaps followed by a mild Gaussian blur."""
+    from scipy import ndimage
     sigma, max_delta, iterations = [
         (0.4, 1, 1), (0.5, 1, 1), (0.6, 1, 2), (0.7, 2, 1), (0.9, 2, 2),
     ][_check_severity(severity) - 1]
@@ -129,6 +134,7 @@ def motion_blur(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
 
 def _zoom_center(image: np.ndarray, factor: float) -> np.ndarray:
     """Zoom into the image center by ``factor`` >= 1, preserving shape."""
+    from scipy import ndimage
     h, w = image.shape[-2:]
     zoomed = ndimage.zoom(image, (1.0, factor, factor), order=1)
     zh, zw = zoomed.shape[-2:]
@@ -154,6 +160,7 @@ def zoom_blur(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
 # ----------------------------------------------------------------------
 def _plasma(shape, rng: np.random.Generator, smoothing: float) -> np.ndarray:
     """Smoothed uniform noise ('plasma') normalized to [0, 1]."""
+    from scipy import ndimage
     noise = rng.uniform(size=shape)
     noise = ndimage.gaussian_filter(noise, smoothing)
     lo, hi = noise.min(), noise.max()
@@ -162,6 +169,7 @@ def _plasma(shape, rng: np.random.Generator, smoothing: float) -> np.ndarray:
 
 def snow(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
     """Procedural snow: sparse bright flecks, motion-streaked, composited."""
+    from scipy import ndimage
     density, brightness, streak = [
         (0.03, 0.4, 2), (0.05, 0.5, 3), (0.08, 0.6, 3),
         (0.10, 0.7, 4), (0.14, 0.8, 5),
@@ -224,6 +232,7 @@ def contrast(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
 # ----------------------------------------------------------------------
 def elastic_transform(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
     """Elastic warp via a smoothed random displacement field."""
+    from scipy import ndimage
     alpha, sigma = [
         (1.5, 2.0), (2.0, 2.0), (2.5, 1.8), (3.0, 1.6), (3.5, 1.4),
     ][_check_severity(severity) - 1]
@@ -242,6 +251,7 @@ def elastic_transform(image: np.ndarray, severity: int, seed: int = 0) -> np.nda
 
 def pixelate(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
     """Downsample then nearest-neighbour upsample."""
+    from scipy import ndimage
     fraction = [0.75, 0.6, 0.5, 0.4, 0.3][_check_severity(severity) - 1]
     h, w = image.shape[-2:]
     small_h = max(int(h * fraction), 2)
@@ -275,6 +285,7 @@ def _jpeg_quant_table(quality: int) -> np.ndarray:
 
 def _jpeg_channel(channel: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Quantize one channel through blockwise 8x8 DCT (the JPEG core loop)."""
+    from scipy import fft as scipy_fft
     h, w = channel.shape
     pad_h = (-h) % 8
     pad_w = (-w) % 8
@@ -309,6 +320,7 @@ def speckle_noise(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray
 
 def gaussian_blur(image: np.ndarray, severity: int, seed: int = 0) -> np.ndarray:
     """Isotropic Gaussian blur, per channel."""
+    from scipy import ndimage
     sigma = [0.4, 0.6, 0.8, 1.1, 1.5][_check_severity(severity) - 1]
     return _clip(np.stack([ndimage.gaussian_filter(c, sigma) for c in image]))
 

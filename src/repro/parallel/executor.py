@@ -45,9 +45,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.io import record_from_dict
 from repro.core.records import StudyResult
-from repro.core.executor import (CellSpec, ExecutorStats, RetryPolicy,
-                                       make_failed_record, recover_completed)
+from repro.core.executor import (CellSpec, ExecutorStats,
+                                 make_failed_record, recover_completed)
 from repro.resilience.journal import RunJournal
+from repro.resilience.retry import RetryPolicy
 from repro.parallel.worker import SHUTDOWN, CellRunner, CellTask, worker_main
 
 #: poll interval for the event funnel (also the liveness-check cadence)

@@ -40,9 +40,9 @@ from typing import Any, Callable, List
 import numpy as np
 
 from repro.core.records import MeasurementRecord
-from repro.core.executor import (CellSpec, RetryPolicy,
-                                       run_cell_attempts)
+from repro.core.executor import CellSpec, run_cell_attempts
 from repro.engine.blas import SingleBlasThread
+from repro.resilience.retry import RetryPolicy
 
 #: a cell runner: module-level callable of (payload, spec) -> records
 CellRunner = Callable[[Any, CellSpec], List[MeasurementRecord]]

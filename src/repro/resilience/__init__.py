@@ -8,7 +8,10 @@ batches (which :mod:`repro.robustness` already guards):
   a crash never leaves a half-written artifact;
 - :mod:`repro.resilience.journal` — an append-only JSONL run journal
   whose recovery scanner tolerates the truncated trailing line a
-  mid-write kill produces.
+  mid-write kill produces;
+- :mod:`repro.resilience.retry` — :class:`RetryPolicy`, the bounded,
+  seeded backoff shared by the study executor, its worker processes
+  and the serve client.
 
 The study-grid executor that drives cells through these primitives
 (:class:`~repro.core.executor.ResilientExecutor`) lives with the study
@@ -27,6 +30,7 @@ from repro.resilience.journal import (
     RunJournal,
     scan_journal,
 )
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "atomic_path",
@@ -35,6 +39,7 @@ __all__ = [
     "fsync_directory",
     "JournalError",
     "JournalScan",
+    "RetryPolicy",
     "RunJournal",
     "scan_journal",
 ]

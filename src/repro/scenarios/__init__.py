@@ -15,9 +15,10 @@ Layers (each importable on its own):
   :class:`Segment` structure;
 - :mod:`repro.scenarios.stream` — :class:`ScenarioStream`, a dataset
   played through a schedule (drop-in batch source);
-- :mod:`repro.scenarios.metrics` — per-batch :class:`BatchStats`,
-  per-phase :class:`SegmentCard` aggregation, the recurrence forgetting
-  metric, and :class:`ScenarioOutcome`.
+- :mod:`repro.scenarios.metrics` — the whole-stream
+  :class:`StreamScorecard`, per-batch :class:`BatchStats`, per-phase
+  :class:`SegmentCard` aggregation, the recurrence forgetting metric,
+  and :class:`ScenarioOutcome`.
 
 A scenario run is a plain stream run:
 :func:`~repro.serve.session.run_stream` plays ``stream.batches(...)``
@@ -30,6 +31,7 @@ from repro.scenarios.metrics import (
     BatchStats,
     ScenarioOutcome,
     SegmentCard,
+    StreamScorecard,
     recurrence_forgetting,
     segment_cards,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "ScenarioStream",
     "Segment",
     "SegmentCard",
+    "StreamScorecard",
     "as_schedule",
     "parse_scenario_spec",
     "recurrence_forgetting",

@@ -1,10 +1,17 @@
-"""Per-phase scorecard segmentation and the recurrence forgetting metric.
+"""Stream scorecards: whole-stream, per-batch, per-phase, and forgetting.
 
-A whole-stream :class:`~repro.core.streaming.StreamScorecard` hides the
-thing scenario streams exist to expose: *where* in the shift sequence
-accuracy was lost and whether the guard ladder fired during a switch or
-a dwell.  This module aggregates per-batch observations into one
-:class:`SegmentCard` per contiguous shift phase (the
+:class:`StreamScorecard` is the outcome of one stream, whether played
+for real (:meth:`~repro.serve.session.AdaptationSession.scorecard`, the
+serve daemon's replies) or in simulated time
+(:func:`~repro.core.streaming.simulate_realtime`).  It lives here, with
+the per-batch :class:`BatchStats` it sums, so the serve layer can build
+and ship one without importing the study harness.
+
+A whole-stream scorecard hides the thing scenario streams exist to
+expose: *where* in the shift sequence accuracy was lost and whether the
+guard ladder fired during a switch or a dwell.  This module aggregates
+per-batch observations into one :class:`SegmentCard` per contiguous
+shift phase (the
 :class:`~repro.scenarios.schedule.Segment` structure of the schedule),
 and computes the recurrence *forgetting* metric over them: when a
 ``cyclic`` scenario revisits a phase it has adapted to before, how much
@@ -23,15 +30,60 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.scenarios.schedule import ScenarioSchedule, Segment
 
-if TYPE_CHECKING:
-    # annotation only: the scorecard arrives built, and importing
-    # repro.core here would load the study runner, which needs this
-    # module's BatchStats
-    from repro.core.streaming import StreamScorecard
+
+@dataclass(frozen=True)
+class StreamScorecard:
+    """Outcome of one stream, played for real or in simulated time."""
+
+    frames_total: int
+    frames_processed: int
+    frames_dropped: int
+    batches_late: int          # batches finished after their deadline
+    batches_total: int
+    mean_frame_latency_s: float   # arrival -> result, averaged
+    effective_error_pct: float    # processed at adapted error, drops at baseline
+    energy_j: float
+    wall_time_s: float
+    # guard/fault accounting (repro.robustness); all zero for clean
+    # unguarded runs so pre-robustness callers are unaffected
+    faults_injected: int = 0
+    rollbacks: int = 0            # BN-snapshot restores by the guard
+    degraded_batches: int = 0     # batches served below the requested method
+    fallback_frames: int = 0      # frames answered by the bottom-rung fallback
+    #: serve-daemon tenant this card scores ("" = single-stream run)
+    tenant: str = ""
+    #: compact scenario spec the stream followed ("" = plain i.i.d.
+    #: single-corruption stream); see :mod:`repro.scenarios`
+    scenario: str = ""
+
+    @property
+    def drop_rate(self) -> float:
+        return self.frames_dropped / self.frames_total if self.frames_total else 0.0
+
+    @property
+    def deadline_miss_rate(self) -> float:
+        return self.batches_late / self.batches_total if self.batches_total else 0.0
+
+    def describe(self) -> str:
+        text = (f"[{self.tenant}] " if self.tenant else "")
+        if self.scenario:
+            text += f"<{self.scenario}> "
+        text += (f"{self.frames_processed}/{self.frames_total} frames "
+                f"processed ({self.drop_rate:.0%} dropped), "
+                f"{self.deadline_miss_rate:.0%} batches late, "
+                f"latency {self.mean_frame_latency_s * 1e3:.0f} ms/frame, "
+                f"effective error {self.effective_error_pct:.2f}%, "
+                f"{self.energy_j:.1f} J")
+        if self.faults_injected or self.rollbacks or self.degraded_batches:
+            text += (f" | guard: {self.faults_injected} faults, "
+                     f"{self.rollbacks} rollbacks, "
+                     f"{self.degraded_batches} degraded batches, "
+                     f"{self.fallback_frames} fallback frames")
+        return text
 
 
 @dataclass(frozen=True)

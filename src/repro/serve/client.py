@@ -4,7 +4,7 @@
 :class:`~repro.serve.daemon.ServeDaemon` with methods mirroring the
 protocol's message types — ``hello`` / ``send_frames`` / ``scorecard``
 / ``status`` / ``close_tenant`` / ``shutdown`` — decoding replies into
-plain values (:class:`~repro.core.streaming.StreamScorecard` for
+plain values (:class:`~repro.scenarios.metrics.StreamScorecard` for
 scorecards) and raising :class:`ServeError` when the daemon answers
 ``error``.  The ``connect`` constructor retries the TCP connect with a
 deadline, which is how the CI smoke job and kill-resume tests wait for
@@ -18,7 +18,7 @@ exercises):
 - with ``retries > 0``, *transient* failures — timeouts, severed
   connections, broken reply framing — trigger a bounded, seeded
   exponential backoff (the resilience layer's
-  :class:`~repro.core.executor.RetryPolicy`), a reconnect, a
+  :class:`~repro.resilience.retry.RetryPolicy`), a reconnect, a
   re-``hello`` of the remembered tenant spec, and a re-send of the
   exact same message.  Frame chunks carry a monotonically increasing
   ``chunk`` index keyed to the tenant, and the daemon deduplicates
@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.streaming import StreamScorecard
-from repro.core.executor import RetryPolicy
+from repro.resilience.retry import RetryPolicy
+from repro.scenarios.metrics import StreamScorecard
 from repro.serve import protocol
 from repro.serve.checkpoint import encode_array
 from repro.serve.manager import TenantSpec

@@ -49,6 +49,7 @@ chaos-proxy suites; the event loop preserves every contract):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import selectors
@@ -169,25 +170,33 @@ class ServeDaemon:
         self._connections: Dict[socket.socket, _Connection] = {}
         self._outbox: Deque[tuple] = deque()
         self._outbox_lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=dispatch_workers, thread_name_prefix="serve-dispatch")
-        self._selector = selectors.DefaultSelector()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
+        # a failure part-way (a busy port, no file descriptors left)
+        # releases whatever was already opened before it propagates
+        with contextlib.ExitStack() as opened:
+            self._executor = ThreadPoolExecutor(
+                max_workers=dispatch_workers,
+                thread_name_prefix="serve-dispatch")
+            opened.callback(self._executor.shutdown, wait=False)
+            self._selector = selectors.DefaultSelector()
+            opened.callback(self._selector.close)
+            self._listener = opened.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+            self._listener.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
             self._listener.bind((host, port))
             self._listener.listen(128)
             self._listener.setblocking(False)
-        except OSError:
-            self._listener.close()
-            raise
-        self._server_address = self._listener.getsockname()[:2]
-        self._selector.register(self._listener, selectors.EVENT_READ, None)
-        self._waker_recv, self._waker_send = socket.socketpair()
-        self._waker_recv.setblocking(False)
-        self._waker_send.setblocking(False)
-        self._selector.register(self._waker_recv, selectors.EVENT_READ,
-                                "waker")
+            self._server_address = self._listener.getsockname()[:2]
+            self._selector.register(self._listener, selectors.EVENT_READ,
+                                    None)
+            self._waker_recv, self._waker_send = socket.socketpair()
+            opened.enter_context(self._waker_recv)
+            opened.enter_context(self._waker_send)
+            self._waker_recv.setblocking(False)
+            self._waker_send.setblocking(False)
+            self._selector.register(self._waker_recv, selectors.EVENT_READ,
+                                    "waker")
+            opened.pop_all()
 
     @property
     def address(self) -> Tuple[str, int]:

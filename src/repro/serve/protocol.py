@@ -52,7 +52,7 @@ import struct
 from dataclasses import asdict
 from typing import Optional
 
-from repro.core.streaming import StreamScorecard
+from repro.scenarios.metrics import StreamScorecard
 
 #: protocol version a ``hello`` must declare
 PROTOCOL_VERSION = 1

@@ -51,10 +51,9 @@ import numpy as np
 from repro.adapt import build_method
 from repro.adapt.base import AdaptationMethod
 from repro.adapt.state import BNState, frozen_digest
-from repro.core.streaming import StreamScorecard
 from repro.robustness.faults import FaultInjector, FaultSpec, parse_fault_specs
 from repro.robustness.guard import GuardConfig, GuardedAdaptation
-from repro.scenarios.metrics import BatchStats
+from repro.scenarios.metrics import BatchStats, StreamScorecard
 from repro.scenarios.schedule import ScenarioSchedule
 from repro.serve.checkpoint import decode_state, encode_state
 from repro.tensor.tensor import Tensor, no_grad

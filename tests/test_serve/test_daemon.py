@@ -4,14 +4,19 @@ Covers the serve smoke contract (two tenants with faulty frames, guard
 rollbacks visible in acks and scorecards), protocol refusals, and the
 daemon-level kill-resume: kill the whole server between chunks, start a
 new one on the same journal, and the finished stream must match an
-uninterrupted twin bit-for-bit.
+uninterrupted twin bit-for-bit.  A port already in use is a clean
+error that leaves nothing running or open behind it.
 """
 
+import os
+import socket
 import threading
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.engine.blas import blas_threads
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.manager import SessionManager, TenantSpec
@@ -189,3 +194,35 @@ class TestShutdown:
         thread.join(timeout=5)
         assert not thread.is_alive()
         daemon.close()
+
+
+class TestBusyPort:
+    @pytest.fixture
+    def busy_port(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            yield holder.getsockname()[1]
+
+    def test_cli_reports_a_busy_port_and_releases_the_manager(
+            self, busy_port, capsys):
+        threads, blas = threading.active_count(), blas_threads()
+        assert main(["serve", "--port", str(busy_port)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot listen on 127.0.0.1:{busy_port}: " in err
+        assert "Traceback" not in err
+        # the manager's scheduler threads joined, its BLAS hold released
+        assert threading.active_count() == threads
+        assert blas_threads() == blas
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open descriptors in /proc/self/fd")
+    def test_daemon_closes_what_it_opened_before_raising(self, busy_port):
+        manager = SessionManager()
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            with pytest.raises(OSError):
+                ServeDaemon(manager, host="127.0.0.1", port=busy_port)
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            manager.close()
