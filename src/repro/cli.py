@@ -92,6 +92,7 @@ to the op where it entered.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
@@ -218,20 +219,6 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scenario_arg(text):
-    """Parse ``--scenario`` upfront; (spec, None) or (None, exit code 2).
-
-    Malformed specs are a *usage* error by the CLI convention: the
-    message goes to stderr and the command exits 2 before any work runs.
-    """
-    from repro.scenarios import parse_scenario_spec
-    try:
-        return parse_scenario_spec(text), None
-    except ValueError as error:
-        print(f"error: bad --scenario: {error}", file=sys.stderr)
-        return None, 2
-
-
 def _print_scenario_outcome(outcome) -> None:
     """Render the per-segment table + forgetting under a scorecard line."""
     import math
@@ -267,11 +254,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.serve.session import AdaptationSession, run_stream
     from repro.train.trainer import pretrain_robust
 
-    scenario_spec = None
-    if args.scenario:
-        scenario_spec, code = _parse_scenario_arg(args.scenario)
-        if code is not None:
-            return code
     if args.train:
         model = pretrain_robust(args.model, image_size=16, seed=args.seed)
     else:
@@ -279,8 +261,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print("note: model is untrained (pass --train for meaningful "
               "accuracy); guard/fault mechanics are exercised either way")
     data = make_synth_cifar(args.frames, size=16, seed=args.seed + 12345)
-    if scenario_spec is not None:
-        stream = ScenarioStream.from_dataset(data, scenario_spec,
+    if args.scenario is not None:
+        stream = ScenarioStream.from_dataset(data, args.scenario,
                                              seed=args.seed)
         schedule = stream.schedule
     else:
@@ -313,10 +295,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_native(args: argparse.Namespace) -> int:
     from repro.core.runner import run_native_study
 
-    if args.scenario:
-        _, code = _parse_scenario_arg(args.scenario)
-        if code is not None:
-            return code
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
@@ -432,23 +410,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_client(args: argparse.Namespace) -> int:
     from repro.data.stream import CorruptionStream
     from repro.data.synthetic import make_synth_cifar
-    from repro.robustness.faults import FaultInjector, parse_fault_specs
+    from repro.robustness.faults import FaultInjector
     from repro.serve import ServeClient, TenantSpec
 
-    scenario_spec = None
-    if args.scenario:
-        scenario_spec, code = _parse_scenario_arg(args.scenario)
-        if code is not None:
-            return code
-    arrival = None
-    if args.load:
-        from repro.serve.loadgen import parse_arrival_spec
-        try:
-            arrival = parse_arrival_spec(args.load)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.duration > 0 and arrival is None:
+    if args.duration > 0 and args.load is None:
         print("error: --duration requires --load", file=sys.stderr)
         return 2
     spec = TenantSpec(
@@ -458,14 +423,14 @@ def _cmd_serve_client(args: argparse.Namespace) -> int:
         seed=args.seed)
     data = make_synth_cifar(args.frames, size=spec.image_size,
                             seed=args.seed + 12345)
-    if scenario_spec is not None:
+    if args.scenario is not None:
         # scenario-shaped *traffic*: corruption switching happens at the
         # edge, client-side; the daemon adapts on whatever arrives.
         # Budgeted adapt-freezing is a session-side feature the wire
         # protocol does not carry — frames always adapt server-side.
         from repro.scenarios import ScenarioStream
         scenario_stream = ScenarioStream.from_dataset(
-            data, scenario_spec, seed=args.seed)
+            data, args.scenario, seed=args.seed)
         batch_iter = scenario_stream.batches(args.batch_size)
     else:
         stream = CorruptionStream.from_dataset(data, args.corruption,
@@ -486,16 +451,14 @@ def _cmd_serve_client(args: argparse.Namespace) -> int:
 
         batch_iter = _cycle(base_batches)
     injector = None
-    if args.faults:
-        injector = FaultInjector(parse_fault_specs(args.faults),
-                                 seed=args.seed)
+    if args.faults is not None:
+        injector = FaultInjector(args.faults, seed=args.seed)
         batch_iter = injector.inject(batch_iter)
     proxy = None
     host, port = args.host, args.port
-    if args.chaos:
-        from repro.serve import ChaosProxy, parse_network_fault_specs
-        proxy = ChaosProxy(args.host, args.port,
-                           parse_network_fault_specs(args.chaos),
+    if args.chaos is not None:
+        from repro.serve import ChaosProxy
+        proxy = ChaosProxy(args.host, args.port, args.chaos,
                            seed=args.seed).start()
         host, port = proxy.address
         if args.retries == 0:
@@ -515,8 +478,8 @@ def _cmd_serve_client(args: argparse.Namespace) -> int:
             # (faults in skipped batches were reported by the previous run
             # and live in the resumed checkpoint)
             import time as time_module
-            gaps = (arrival.gaps(args.batch_size, args.seed)
-                    if arrival is not None else None)
+            gaps = (args.load.gaps(args.batch_size, args.seed)
+                    if args.load is not None else None)
             latencies_ms: List[float] = []
             frames_accepted = 0
             scheduled = 0.0
@@ -550,7 +513,7 @@ def _cmd_serve_client(args: argparse.Namespace) -> int:
                 wall = max(time_module.monotonic() - epoch, 1e-9)
                 pct = latency_percentiles(latencies_ms)
                 print(f"load: {len(latencies_ms)} request(s) in "
-                      f"{wall:.1f}s ({arrival.compact()}): "
+                      f"{wall:.1f}s ({args.load.compact()}): "
                       f"p50 {pct['p50']:.1f}ms p95 {pct['p95']:.1f}ms "
                       f"p99 {pct['p99']:.1f}ms, "
                       f"{frames_accepted / wall:.1f} frames/s")
@@ -649,15 +612,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                                     format_serving_section)
     from repro.serve.loadgen import run_serving_bench
 
-    try:
-        section = run_serving_bench(
-            tenants=args.tenants, frames_per_tenant=args.frames,
-            batch_size=args.batch_size, arrival=args.arrival,
-            seed=args.seed, workers=args.workers, method=args.method,
-            guard=args.guard)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    section = run_serving_bench(
+        tenants=args.tenants, frames_per_tenant=args.frames,
+        batch_size=args.batch_size, arrival=args.arrival,
+        seed=args.seed, workers=args.workers, method=args.method,
+        guard=args.guard)
     print(format_serving_section(section))
     if section["errors"]:
         for message in section["report"]["error_messages"]:
@@ -683,18 +642,47 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(minimum: int, convert=int):
+    """An argparse ``type=`` for numbers >= ``minimum`` (NaN refused)."""
+    def check(text: str):
+        value = convert(text)
+        if not value >= minimum:            # NaN compares false
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    check.__name__ = convert.__name__       # argparse's "invalid int value"
+    return check
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _at_least(1)
+_non_negative_int = _at_least(0)
+_non_negative_float = _at_least(0, float)
+
+
+def _spec_type(module: str, parser: str, keep_text: bool = False):
+    """An argparse ``type=`` for a spec flag: a malformed spec exits 2 with
+    the grammar's reason.  It yields the parsed spec, or with ``keep_text``
+    the validated text (study configs store and fingerprint the text), and
+    imports ``module`` only when the flag is given."""
+    def convert(text: str):
+        parse = getattr(importlib.import_module(module), parser)
+        try:
+            value = parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        return text if keep_text else value
+    return convert
+
+
+_FAULTS = _spec_type("repro.robustness.faults", "parse_fault_specs")
+_FAULTS_TEXT = _spec_type("repro.robustness.faults", "parse_fault_specs",
+                          keep_text=True)
+_SCENARIO = _spec_type("repro.scenarios", "parse_scenario_spec")
+_SCENARIO_TEXT = _spec_type("repro.scenarios", "parse_scenario_spec",
+                            keep_text=True)
+_ARRIVAL = _spec_type("repro.serve.loadgen", "parse_arrival_spec")
+_ARRIVAL_TEXT = _spec_type("repro.serve.loadgen", "parse_arrival_spec",
+                           keep_text=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -754,10 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--frames", type=_positive_int, default=128,
                         help="total frames in the stream")
     stream.add_argument("--batch-size", type=_positive_int, default=16)
-    stream.add_argument("--faults", metavar="SPEC", default=None,
+    stream.add_argument("--faults", metavar="SPEC", type=_FAULTS,
                         help='fault injection, e.g. "nan:0.2,constant@3" '
                              "(fault[:rate|@idx[+idx...]], comma-separated)")
-    stream.add_argument("--scenario", metavar="SPEC", default=None,
+    stream.add_argument("--scenario", metavar="SPEC", type=_SCENARIO,
                         help="scenario-scheduled stream, e.g. "
                              '"markov:p=0.1@3" or "cyclic:dwell=4" '
                              "(kind[:k=v[+k=v...]][@severity]; overrides "
@@ -803,9 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pre-training epochs (models are cached)")
     native.add_argument("--per-corruption", action="store_true",
                         help="emit one extra record per corruption type")
-    native.add_argument("--faults", metavar="SPEC", default=None,
+    native.add_argument("--faults", metavar="SPEC", type=_FAULTS_TEXT,
                         help="fault-injection spec (see 'stream')")
-    native.add_argument("--scenario", metavar="SPEC", default=None,
+    native.add_argument("--scenario", metavar="SPEC", type=_SCENARIO_TEXT,
                         help="run each cell over one scenario stream "
                              "instead of the corruption grid (see "
                              "'stream'; with --per-corruption, records "
@@ -852,21 +840,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--checkpoint-every", type=_positive_int, default=1,
                        metavar="N",
                        help="journal a tenant checkpoint every N batches")
-    serve.add_argument("--io-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
+    serve.add_argument("--io-timeout", type=_non_negative_float,
+                       default=30.0, metavar="SECONDS",
                        help="per-connection read/write deadline; a "
                             "stalled (slow-loris) client is evicted "
                             "after this long (0 disables)")
-    serve.add_argument("--idle-evict", type=float, default=0.0,
-                       metavar="SECONDS",
+    serve.add_argument("--idle-evict", type=_non_negative_float,
+                       default=0.0, metavar="SECONDS",
                        help="checkpoint-and-evict tenants idle longer "
                             "than this (0 disables)")
     serve.add_argument("--compact-above", type=_non_negative_int, default=0,
                        metavar="BYTES",
                        help="compact the journal online whenever it "
                             "grows past this size (0 disables)")
-    serve.add_argument("--drain-timeout", type=float, default=10.0,
-                       metavar="SECONDS",
+    serve.add_argument("--drain-timeout", type=_non_negative_float,
+                       default=10.0, metavar="SECONDS",
                        help="budget for finishing in-flight batches and "
                             "checkpointing every tenant on a drained "
                             "shutdown")
@@ -907,10 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
                               default="gaussian_noise")
     serve_client.add_argument("--severity", type=int, choices=range(1, 6),
                               default=5)
-    serve_client.add_argument("--faults", metavar="SPEC", default=None,
+    serve_client.add_argument("--faults", metavar="SPEC", type=_FAULTS,
                               help="client-side fault injection "
                                    "(see 'stream')")
-    serve_client.add_argument("--scenario", metavar="SPEC", default=None,
+    serve_client.add_argument("--scenario", metavar="SPEC", type=_SCENARIO,
                               help="stream scenario-shaped traffic (see "
                                    "'stream'); corruption switching "
                                    "happens client-side, the daemon "
@@ -943,13 +931,15 @@ def build_parser() -> argparse.ArgumentParser:
                                    "transient failures (timeouts, "
                                    "severed connections); re-sends are "
                                    "deduplicated daemon-side")
-    serve_client.add_argument("--chaos", metavar="SPEC", default=None,
+    serve_client.add_argument("--chaos", metavar="SPEC", type=_spec_type(
+                                  "repro.serve.chaos",
+                                  "parse_network_fault_specs"),
                               help="route the stream through an "
                                    "in-process seeded chaos proxy, e.g. "
                                    "'disconnect:0.1,truncate@5' (faults: "
                                    "disconnect, delay, truncate, split, "
                                    "garbage); pair with --retries")
-    serve_client.add_argument("--load", metavar="SPEC", default=None,
+    serve_client.add_argument("--load", metavar="SPEC", type=_ARRIVAL,
                               help="pace sends open-loop on an arrival "
                                    "spec, e.g. 'poisson:rate=64' or "
                                    "'burst:rate=128+size=4' (kinds: "
@@ -1036,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--batch-size", type=_positive_int,
                              default=16)
     serve_bench.add_argument("--arrival", metavar="SPEC",
-                             default="poisson:rate=256",
+                             default="poisson:rate=256", type=_ARRIVAL_TEXT,
                              help="arrival spec (see serve-client --load)")
     serve_bench.add_argument("--workers", type=_positive_int, default=2,
                              help="batch-scheduler worker threads")

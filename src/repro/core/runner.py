@@ -40,6 +40,7 @@ from repro.resilience.journal import RunJournal
 from repro.robustness.faults import parse_fault_specs
 from repro.robustness.guard import GuardedAdaptation
 from repro.scenarios.metrics import ScenarioOutcome, StreamScorecard
+from repro.scenarios.spec import parse_scenario_spec
 from repro.scenarios.stream import ScenarioStream
 from repro.serve.session import AdaptationSession, run_stream
 from repro.train.trainer import pretrain_robust
@@ -175,12 +176,19 @@ def run_native_study(config: Optional[StudyConfig] = None,
     except wall-clock timing is bit-identical to the serial run's.
     """
     config = config or StudyConfig()
+    # parsed once, here: a malformed spec fails the call before any cell
+    # runs, instead of failing every cell (in every worker)
+    specs = {"faults": (parse_fault_specs(config.faults)
+                        if config.faults else None),
+             "scenario": (parse_scenario_spec(config.scenario)
+                          if config.scenario else None)}
     if config.workers:
         if backend is not None:
             raise ValueError("an explicit backend instance cannot be "
                              "shipped to worker processes; leave "
                              "backend=None when config.workers > 0")
-        return _run_native_study_parallel(config, models, per_corruption)
+        return _run_native_study_parallel(config, models, per_corruption,
+                                          specs)
     # A caller-supplied backend instance (e.g. a SanitizerBackend whose
     # findings the caller wants to inspect afterwards) is used as-is
     # and stays open; an engine-built one is owned and closed here.
@@ -190,7 +198,7 @@ def run_native_study(config: Optional[StudyConfig] = None,
     try:
         with use_backend(backend):
             return _run_native_study(config, backend, models,
-                                     per_corruption)
+                                     per_corruption, specs)
     finally:
         if owns_backend:
             backend.close()
@@ -224,19 +232,19 @@ def _config_fingerprint(config: StudyConfig, backend_name: str,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _build_streams(config: StudyConfig) -> List:
+def _build_streams(config: StudyConfig, scenario) -> List:
     """The evaluation streams, seeded from the config.
 
     Depends only on config fields inside the resume fingerprint, so a
     serial parent and every parallel worker rebuild identical streams.
-    With ``config.scenario`` set, the corruption grid is replaced by a
-    single scenario-scheduled stream
+    With a ``scenario`` (``config.scenario``, parsed), the corruption
+    grid is replaced by a single scenario-scheduled stream
     (:class:`~repro.scenarios.stream.ScenarioStream`).
     """
     test = make_synth_cifar(config.stream_samples, size=config.image_size,
                             seed=config.seed + 12345)
-    if config.scenario:
-        return [ScenarioStream.from_dataset(test, config.scenario,
+    if scenario is not None:
+        return [ScenarioStream.from_dataset(test, scenario,
                                             seed=config.seed)]
     return [CorruptionStream.from_dataset(test, corruption,
                                           severity=config.severity,
@@ -257,10 +265,8 @@ def _grid_specs(config: StudyConfig, backend_name: str) -> List[CellSpec]:
 
 def _run_native_study(config: StudyConfig, backend,
                       models: Optional[Dict[str, object]],
-                      per_corruption: bool) -> StudyResult:
-    streams = _build_streams(config)
-    fault_specs = (parse_fault_specs(config.faults)
-                   if config.faults else None)
+                      per_corruption: bool, specs: dict) -> StudyResult:
+    streams = _build_streams(config, specs["scenario"])
 
     # Models are resolved lazily (a fully-resumed run never trains) and
     # cached so every cell of a model shares one instance, exactly as
@@ -281,7 +287,8 @@ def _run_native_study(config: StudyConfig, backend,
             # a fresh thread, and use_backend() is thread-local
             with use_backend(backend):
                 return _run_native_cell(config, get_model(spec.model), spec,
-                                        streams, fault_specs, per_corruption)
+                                        streams, specs["faults"],
+                                        per_corruption)
         return run_cell
 
     cells = [(spec, make_cell(spec))
@@ -319,11 +326,12 @@ def _native_cell_worker(payload: dict, spec: CellSpec
                         ) -> List[MeasurementRecord]:
     """Module-level cell runner for parallel workers (spawn-picklable).
 
-    ``payload`` ships once per worker: the :class:`StudyConfig`, the
-    run fingerprint, ``per_corruption``, and optionally pre-built
-    models (pickled whole).  Models not shipped are resolved through
-    :func:`repro.train.pretrain_robust`, whose disk cache is file-locked
-    so concurrent workers train each checkpoint exactly once.
+    ``payload`` ships once per worker: the :class:`StudyConfig`, its
+    parsed specs, the run fingerprint, ``per_corruption``, and
+    optionally pre-built models (pickled whole).  Models not shipped
+    are resolved through :func:`repro.train.pretrain_robust`, whose disk
+    cache is file-locked so concurrent workers train each checkpoint
+    exactly once.
     """
     config: StudyConfig = payload["config"]
     context = _WORKER_CONTEXT.get(payload["fingerprint"])
@@ -331,9 +339,7 @@ def _native_cell_worker(payload: dict, spec: CellSpec
         context = {
             "backend": create_backend(config.backend,
                                       threads=config.threads),
-            "streams": _build_streams(config),
-            "fault_specs": (parse_fault_specs(config.faults)
-                            if config.faults else None),
+            "streams": _build_streams(config, payload["specs"]["scenario"]),
             "models": dict(payload.get("models") or {}),
         }
         with _WORKER_CONTEXT_LOCK:
@@ -350,13 +356,14 @@ def _native_cell_worker(payload: dict, spec: CellSpec
     # fresh spawned interpreter
     with use_backend(context["backend"]):
         return _run_native_cell(config, model, spec, context["streams"],
-                                context["fault_specs"],
+                                payload["specs"]["faults"],
                                 payload["per_corruption"])
 
 
 def _run_native_study_parallel(config: StudyConfig,
                                models: Optional[Dict[str, object]],
-                               per_corruption: bool) -> StudyResult:
+                               per_corruption: bool,
+                               specs: dict) -> StudyResult:
     """Drive the native grid across ``config.workers`` processes."""
     from repro.parallel import ParallelExecutor
 
@@ -366,7 +373,7 @@ def _run_native_study_parallel(config: StudyConfig,
     fingerprint = _config_fingerprint(config, backend_name, per_corruption)
     cells = [(spec, _native_cell_worker)
              for spec in _grid_specs(config, backend_name)]
-    payload = {"config": config, "fingerprint": fingerprint,
+    payload = {"config": config, "specs": specs, "fingerprint": fingerprint,
                "per_corruption": per_corruption, "models": models}
     journal = (RunJournal(config.journal, resume=config.resume)
                if config.journal else None)

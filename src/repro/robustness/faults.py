@@ -29,9 +29,12 @@ benign for correctness but stress batch-size assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from repro import grammar
 
 #: every fault type, in taxonomy order
 FAULT_NAMES = ("nan", "inf", "constant", "wrong_range",
@@ -54,16 +57,17 @@ class FaultSpec:
     """Schedule for one fault type.
 
     Either probabilistic (``rate`` per batch, drawn from the injector's
-    seeded generator) or explicit (``at`` batch indices).  Parsed from
-    compact CLI syntax by :meth:`parse`:
+    seeded generator) or explicit (``at`` batch indices).  Parsed by
+    :meth:`parse` from the spec grammar (:mod:`repro.grammar`):
 
     - ``"nan:0.2"``   — NaN fault with probability 0.2 per batch;
     - ``"constant@3"`` — constant fault exactly at batch 3;
-    - ``"inf@2+5"``    — Inf fault at batches 2 and 5.
+    - ``"inf@2+5"``    — Inf fault at batches 2 and 5;
+    - ``"nan"``        — NaN fault on every batch.
 
-    The grammar is shared by every fault namespace; which names are
-    valid is the consumer's call (:data:`FAULT_NAMES` for batch
-    streams, the serve layer's network taxonomy for its chaos proxy).
+    Which names are valid is the consumer's call (:data:`FAULT_NAMES`
+    for batch streams, the serve layer's network taxonomy for its chaos
+    proxy).
     """
 
     fault: str
@@ -79,22 +83,20 @@ class FaultSpec:
               kind: str = "batch") -> "FaultSpec":
         """Parse one spec whose fault must be in the ``kind`` namespace
         ``names``."""
-        text = text.strip()
-        if "@" in text:
-            name, _, indices = text.partition("@")
-            try:
-                at = tuple(int(i) for i in indices.split("+"))
-            except ValueError:
-                raise ValueError(f"bad fault spec {text!r}: indices after "
-                                 "'@' must be integers (join with '+')")
-            spec = cls(fault=name, at=at)
-        elif ":" in text:
-            name, _, rate = text.partition(":")
-            spec = cls(fault=name, rate=float(rate))
-        else:
-            spec = cls(fault=text, rate=1.0)
-        check_fault_names((spec,), names, kind)
-        return spec
+        return grammar.parse(text, grammar.FAULT,
+                             partial(_build, names=names, namespace=kind))
+
+
+def _build(fault: str, params: dict, at, names: Tuple[str, ...],
+           namespace: str) -> FaultSpec:
+    if at is None:          # a bare name fires on every batch
+        spec = FaultSpec(fault, **(params or grammar.FAULT.params(fault)))
+    elif params:
+        raise ValueError("give a rate or '@' indices, not both")
+    else:
+        spec = FaultSpec(fault, at=at)
+    check_fault_names((spec,), names, namespace)
+    return spec
 
 
 def check_fault_names(specs: Iterable[FaultSpec],
@@ -110,10 +112,8 @@ def check_fault_names(specs: Iterable[FaultSpec],
 def parse_fault_specs(text: str, names: Tuple[str, ...] = FAULT_NAMES,
                       kind: str = "batch") -> Tuple[FaultSpec, ...]:
     """Parse a comma-separated fault-spec string (CLI ``--faults``)."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty fault specification")
-    return tuple(FaultSpec.parse(p, names, kind) for p in parts)
+    return grammar.parse_list(text, grammar.FAULT,
+                              partial(_build, names=names, namespace=kind))
 
 
 class FaultSchedule:

@@ -6,10 +6,8 @@ drawn from one corruption at one severity.  Real edge deployments see
 class mixes that skew; adaptation budgets that gate when updates may
 run at all (the scenario axis BoTTA defines for on-device TTA
 benchmarking).  A :class:`ScenarioSpec` freezes one such structure as a
-small, fingerprintable value object, parsed from the same compact CLI
-grammar style as :class:`~repro.robustness.faults.FaultSpec`:
-
-``kind[:key=value[+key=value...]][@severity]``
+small, fingerprintable value object, written in the spec grammar of
+:mod:`repro.grammar` with the severity after ``@``:
 
 - ``markov:p=0.1@3`` — Markov switching over the corruption palette
   with per-batch switch probability 0.1, severity 3;
@@ -25,9 +23,9 @@ grammar style as :class:`~repro.robustness.faults.FaultSpec`:
   adaptation runs for the first ``budget`` batches of every ``period``
   batches and is frozen in between (inference-only service).
 
-``over=`` restricts the corruption palette (``|``-separated names,
-``clean`` allowed); the switching kinds default to the full taxonomy,
-the single-corruption kinds to ``gaussian_noise``.
+``over=`` restricts the corruption palette (``clean`` allowed); the
+switching kinds default to the full taxonomy, the single-corruption
+kinds to ``gaussian_noise``.
 
 Specs are *canonical*: parameters are normalized (defaults filled,
 sorted), so ``parse(spec.compact()) == spec`` for every spec and the
@@ -42,26 +40,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro import grammar
 from repro.data.corruptions import CORRUPTION_NAMES
 
 #: every scenario kind, in taxonomy order
-SCENARIO_KINDS = ("markov", "cyclic", "ramp", "imbalanced", "budgeted")
+SCENARIO_KINDS = tuple(grammar.SCENARIO.kinds)
 
 #: kinds that schedule more than one corruption (palette defaults to the
 #: full taxonomy); the rest run one corruption (default gaussian_noise)
 SWITCHING_KINDS = frozenset({"markov", "cyclic"})
 
 #: per-kind parameter names and default values
-KIND_PARAMS: Dict[str, Dict[str, float]] = {
-    "markov": {"p": 0.1},
-    "cyclic": {"dwell": 4.0},
-    "ramp": {"dwell": 2.0},
-    "imbalanced": {"alpha": 0.3},
-    "budgeted": {"budget": 2.0, "period": 8.0},
-}
-
-#: parameters that must hold integral values
-_INTEGRAL_PARAMS = frozenset({"dwell", "budget", "period"})
+KIND_PARAMS: Dict[str, Dict[str, float]] = grammar.SCENARIO.kinds
 
 _DEFAULT_SEVERITY = 5
 
@@ -70,13 +60,6 @@ def _default_over(kind: str) -> Tuple[str, ...]:
     if kind in SWITCHING_KINDS:
         return tuple(CORRUPTION_NAMES)
     return ("gaussian_noise",)
-
-
-def _format_value(value: float) -> str:
-    """Shortest round-tripping text for a parameter value."""
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 @dataclass(frozen=True)
@@ -96,21 +79,11 @@ class ScenarioSpec:
     params: Tuple[Tuple[str, float], ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}; "
-                             f"choose from {SCENARIO_KINDS}")
+        merged = {**grammar.SCENARIO.params(self.kind),
+                  **{key: grammar.SCENARIO.number(self.kind, key, value)
+                     for key, value in dict(self.params).items()}}
         object.__setattr__(self, "over",
                            tuple(self.over) or _default_over(self.kind))
-        given = dict(self.params) if not isinstance(self.params, dict) \
-            else dict(self.params)
-        defaults = KIND_PARAMS[self.kind]
-        unknown = set(given) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"{self.kind} does not take parameter(s) "
-                f"{sorted(unknown)}; valid: {sorted(defaults)}")
-        merged = {key: float(given.get(key, default))
-                  for key, default in defaults.items()}
         object.__setattr__(self, "params",
                            tuple(sorted(merged.items())))
         self._validate(merged)
@@ -132,9 +105,6 @@ class ScenarioSpec:
                 f"{len(self.over)} in the palette")
         if self.kind == "ramp" and self.over[0] == "clean":
             raise ValueError("ramp sweeps severity; 'clean' has none")
-        for key, value in params.items():
-            if key in _INTEGRAL_PARAMS and value != int(value):
-                raise ValueError(f"{key} must be an integer, got {value}")
         if self.kind == "markov" and not 0.0 < params["p"] <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {params['p']}")
         if self.kind in ("cyclic", "ramp") and params["dwell"] < 1:
@@ -163,41 +133,14 @@ class ScenarioSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioSpec":
-        """Parse the compact grammar (see the module docstring)."""
-        text = text.strip()
-        if not text:
-            raise ValueError("empty scenario specification")
-        severity = _DEFAULT_SEVERITY
-        if "@" in text:
-            text, _, severity_text = text.rpartition("@")
-            try:
-                severity = int(severity_text)
-            except ValueError:
-                raise ValueError(
-                    f"severity after '@' must be an integer, got "
-                    f"{severity_text!r}") from None
-        kind, _, params_text = text.partition(":")
-        over: Tuple[str, ...] = ()
-        params: Dict[str, float] = {}
-        if params_text:
-            for part in params_text.split("+"):
-                key, sep, value = part.partition("=")
-                if not sep or not key or not value:
-                    raise ValueError(
-                        f"bad scenario parameter {part!r}: expected "
-                        "key=value ('+'-separated)")
-                if key == "over":
-                    over = tuple(name for name in value.split("|") if name)
-                    if not over:
-                        raise ValueError("empty 'over' palette")
-                    continue
-                try:
-                    params[key] = float(value)
-                except ValueError:
-                    raise ValueError(
-                        f"parameter {key!r} must be numeric, got "
-                        f"{value!r}") from None
-        return cls(kind=kind, over=over, severity=severity, params=params)
+        """Parse the compact form, e.g. ``"cyclic:dwell=2@3"``."""
+        return grammar.parse(text, grammar.SCENARIO, cls._from_spec)
+
+    @classmethod
+    def _from_spec(cls, kind: str, params: dict, at) -> "ScenarioSpec":
+        over = params.pop(grammar.SCENARIO.names, ())
+        severity = _DEFAULT_SEVERITY if at is None else at
+        return cls(kind, over=over, severity=severity, params=params)
 
     def compact(self) -> str:
         """Canonical compact form; ``parse(compact()) == self``.
@@ -207,16 +150,13 @@ class ScenarioSpec:
         (``"markov"``, ``"cyclic:dwell=2@3"``).
         """
         defaults = KIND_PARAMS[self.kind]
-        parts = [f"{key}={_format_value(value)}"
-                 for key, value in self.params if value != defaults[key]]
+        params = [(key, value) for key, value in self.params
+                  if value != defaults[key]]
         if self.over != _default_over(self.kind):
-            parts.append("over=" + "|".join(self.over))
-        text = self.kind
-        if parts:
-            text += ":" + "+".join(parts)
-        if self.severity != _DEFAULT_SEVERITY:
-            text += f"@{self.severity}"
-        return text
+            params.append((grammar.SCENARIO.names, self.over))
+        severity = (None if self.severity == _DEFAULT_SEVERITY
+                    else self.severity)
+        return grammar.format_spec(self.kind, params, severity)
 
     def fingerprint(self) -> str:
         """Stable digest of the canonical spec (stable across processes)."""

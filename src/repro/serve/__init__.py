@@ -37,58 +37,38 @@ load and reduces it to p50/p95/p99 latency + throughput — the
 gates in CI.
 
 CLI: ``repro serve`` / ``repro serve-client`` / ``repro serve-bench``.
+
+The package imports nothing up front: each name below loads its
+submodule on first access, so the daemon (``repro serve``) does not
+load the client, the load generator or the chaos proxy it never runs.
 """
 
-from repro.serve.chaos import (
-    NETWORK_FAULT_NAMES,
-    ChaosProxy,
-    parse_network_fault_specs,
-)
-from repro.serve.client import (
-    ServeClient,
-    ServeDisconnectedError,
-    ServeError,
-    ServeTimeoutError,
-)
-from repro.serve.daemon import ServeDaemon, serve
-from repro.serve.loadgen import (
-    ARRIVAL_KINDS,
-    ArrivalSpec,
-    TenantLoad,
-    parse_arrival_spec,
-    run_loadgen,
-    run_serving_bench,
-)
-from repro.serve.manager import AdmissionError, SessionManager, TenantSpec
-from repro.serve.scheduler import (
-    BatchScheduler,
-    BatchTicket,
-    SchedulerClosedError,
-)
-from repro.serve.session import AdaptationSession, run_stream
+from __future__ import annotations
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "AdaptationSession",
-    "AdmissionError",
-    "ArrivalSpec",
-    "BatchScheduler",
-    "BatchTicket",
-    "ChaosProxy",
-    "NETWORK_FAULT_NAMES",
-    "SchedulerClosedError",
-    "ServeClient",
-    "ServeDaemon",
-    "ServeDisconnectedError",
-    "ServeError",
-    "ServeTimeoutError",
-    "SessionManager",
-    "TenantLoad",
-    "TenantSpec",
-    "parse_arrival_spec",
-    "parse_network_fault_specs",
-    "run_loadgen",
-    "run_serving_bench",
-    "run_stream",
-    "serve",
-]
+import importlib
+
+#: submodule -> the public names it defines
+_MODULES = {
+    "chaos": ("ChaosProxy", "NETWORK_FAULT_NAMES",
+              "parse_network_fault_specs"),
+    "client": ("ServeClient", "ServeDisconnectedError", "ServeError",
+               "ServeTimeoutError"),
+    "daemon": ("ServeDaemon", "serve"),
+    "loadgen": ("ARRIVAL_KINDS", "ArrivalSpec", "TenantLoad",
+                "parse_arrival_spec", "run_loadgen", "run_serving_bench"),
+    "manager": ("AdmissionError", "SessionManager", "TenantSpec"),
+    "scheduler": ("BatchScheduler", "BatchTicket", "SchedulerClosedError"),
+    "session": ("AdaptationSession", "run_stream"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items()
+            for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

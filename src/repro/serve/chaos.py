@@ -14,10 +14,11 @@ malformed garbage.
 The schedule reuses :class:`~repro.robustness.faults.FaultSpec` /
 :class:`~repro.robustness.faults.FaultSchedule` verbatim over its own
 namespace, the network taxonomy below: :func:`parse_network_fault_specs`
-parses ``"disconnect:0.1"``, ``"truncate@2+5"``, and friends with the
-batch fault grammar, and neither namespace accepts the other's names.  Fault indices count *client→server protocol
-messages through the proxy* (the ``hello`` is message 0), across all
-connections, so a retried message consumes the next index.
+reads ``"disconnect:0.1"``, ``"truncate@2+5"`` and friends in the fault
+grammar (:mod:`repro.grammar`), and neither namespace accepts the other's
+names.  Fault indices count *client→server protocol messages through the
+proxy* (the ``hello`` is message 0), across all connections, so a
+retried message consumes the next index.
 
 Network fault taxonomy (``NETWORK_FAULT_NAMES``):
 

@@ -6,13 +6,13 @@ latency — needs *load*, not a single stream.  This module generates it
 the way the rest of the repo generates adversity: from a tiny seeded
 grammar.
 
-An :class:`ArrivalSpec` is written in the compact ``kind:key=value``
-grammar of the scenario and fault specs (``"poisson:rate=120"``,
-``"uniform:rate=64"``, ``"burst:rate=64+size=8"``) and expands — with
-a seed — into an *open-loop* schedule of absolute send instants: the
-generator sends when the schedule says, whether or not the daemon has
-kept up, so queueing delay shows up in the measured latency instead of
-silently throttling the offered load (the coordinated-omission trap).
+An :class:`ArrivalSpec` is written in the spec grammar of
+:mod:`repro.grammar` (``"poisson:rate=120"``, ``"burst:rate=64+size=8"``)
+and expands — with a seed — into an *open-loop* schedule of absolute
+send instants: the generator sends when the schedule says, whether or
+not the daemon has kept up, so queueing delay shows up in the measured
+latency instead of silently throttling the offered load (the
+coordinated-omission trap).
 
 :func:`run_loadgen` drives one client thread per
 :class:`TenantLoad` against a live daemon, records per-request service
@@ -30,9 +30,11 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
+
+from repro import grammar
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -44,10 +46,9 @@ __all__ = [
 ]
 
 #: supported arrival-process kinds
-ARRIVAL_KINDS = ("uniform", "poisson", "burst")
+ARRIVAL_KINDS = tuple(grammar.ARRIVAL.kinds)
 
-_DEFAULT_RATE = 64.0
-_DEFAULT_BURST = 4
+_DEFAULTS = grammar.ARRIVAL.params("burst")
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,11 @@ class ArrivalSpec:
     """
 
     kind: str = "uniform"
-    rate: float = _DEFAULT_RATE
-    size: int = _DEFAULT_BURST
+    rate: float = _DEFAULTS["rate"]
+    size: int = _DEFAULTS["size"]
 
     def __post_init__(self):
-        if self.kind not in ARRIVAL_KINDS:
-            raise ValueError(
-                f"unknown arrival kind {self.kind!r} "
-                f"(known: {', '.join(ARRIVAL_KINDS)})")
+        grammar.ARRIVAL.params(self.kind)       # refuses an unknown kind
         if not self.rate > 0:
             raise ValueError("arrival rate must be > 0 frames/s")
         if self.size < 1:
@@ -75,44 +73,16 @@ class ArrivalSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ArrivalSpec":
-        """Parse the compact form, e.g. ``"poisson:rate=120"``.
-
-        Same shape as the scenario/fault grammars: a kind, then
-        optional ``+``-joined ``key=value`` parameters.
-        """
-        body = text.strip()
-        if not body:
-            raise ValueError("empty arrival spec")
-        kind, _, params_text = body.partition(":")
-        params: Dict[str, str] = {}
-        if params_text:
-            for item in params_text.split("+"):
-                key, sep, value = item.partition("=")
-                if not sep or not key.strip():
-                    raise ValueError(
-                        f"bad arrival spec {text!r}: expected key=value, "
-                        f"got {item!r}")
-                params[key.strip()] = value.strip()
-        unknown = sorted(set(params) - {"rate", "size"})
-        if unknown:
-            raise ValueError(
-                f"bad arrival spec {text!r}: unknown parameter(s) "
-                f"{', '.join(unknown)}")
-        try:
-            rate = float(params.get("rate", _DEFAULT_RATE))
-            size = int(params.get("size", _DEFAULT_BURST))
-        except ValueError:
-            raise ValueError(
-                f"bad arrival spec {text!r}: non-numeric parameter") \
-                from None
-        return cls(kind=kind.strip(), rate=rate, size=size)
+        """Parse the compact form, e.g. ``"poisson:rate=120"``."""
+        return grammar.parse(text, grammar.ARRIVAL,
+                             lambda kind, params, at: cls(kind, **params))
 
     def compact(self) -> str:
         """Canonical compact form (parse → compact round-trips)."""
-        rate = f"{self.rate:g}"
-        if self.kind == "burst":
-            return f"{self.kind}:rate={rate}+size={self.size}"
-        return f"{self.kind}:rate={rate}"
+        params = [("rate", self.rate)]
+        if self.kind == "burst" or self.size != _DEFAULTS["size"]:
+            params.append(("size", self.size))
+        return grammar.format_spec(self.kind, params)
 
     def gaps(self, chunk_frames: int, seed: int = 0) -> Iterator[float]:
         """Infinite stream of inter-send gaps (seconds) between chunks.

@@ -21,6 +21,35 @@ class TestParser:
             build_parser().parse_args(["study", "--device", "tpu"])
 
 
+SERVE_CLIENT = ["serve-client", "--port", "1", "--tenant", "t"]
+
+
+class TestSpecFlags:
+    """A malformed spec at any spec flag is a usage error: argparse names
+    the flag and the grammar's reason on one error line, and exits 2
+    before the command runs."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["stream", "--faults", "bogus"], "--faults"),
+        (["stream", "--faults", "nan:x"], "--faults"),
+        (["stream", "--scenario", "cyclic:dwell=inf"], "--scenario"),
+        (["native", "--faults", "bogus"], "--faults"),
+        (["native", "--scenario", "markov:p="], "--scenario"),
+        (SERVE_CLIENT + ["--faults", "nan@-1"], "--faults"),
+        (SERVE_CLIENT + ["--scenario", "ramp@7"], "--scenario"),
+        (SERVE_CLIENT + ["--chaos", "bogus"], "--chaos"),
+        (SERVE_CLIENT + ["--load", "poisson:rate=inf"], "--load"),
+        (["serve-bench", "--arrival", "warp:rate=9"], "--arrival"),
+    ])
+    def test_malformed_spec_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: bad " in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+
 class TestCommands:
     def test_models(self, capsys):
         assert main(["models"]) == 0
@@ -111,6 +140,14 @@ class TestNativeCommand:
         assert config.workers == 3
         assert config.seed == 7
         assert "Native study grid" in capsys.readouterr().out
+
+    def test_spec_flags_reach_study_config_as_text(self, stub_runner):
+        # the journal fingerprints the text, so it must not be rewritten
+        assert main(["native", "--faults", "nan:0.2, constant@3",
+                     "--scenario", "markov:p=0.1@5"]) == 0
+        config = stub_runner["config"]
+        assert config.faults == "nan:0.2, constant@3"
+        assert config.scenario == "markov:p=0.1@5"
 
     def test_resume_requires_journal(self, stub_runner, capsys):
         assert main(["native", "--resume"]) == 2

@@ -78,6 +78,27 @@ class TestNativeStudy:
         assert bn_norm.error_pct < no_adapt.error_pct
 
 
+class TestNativeStudySpecs:
+    """Malformed specs fail the call before any cell runs, serially and
+    with workers alike (a worker would otherwise fail every cell)."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("field,noun", [("faults", "fault"),
+                                            ("scenario", "scenario")])
+    def test_malformed_spec_raises_before_any_cell(self, tmp_path, workers,
+                                                   field, noun):
+        journal = tmp_path / "run.jsonl"
+        config = StudyConfig(models=("wrn40_2",),
+                             methods=("no_adapt", "bn_norm"),
+                             batch_sizes=(50,), corruptions=("fog",),
+                             image_size=16, stream_samples=32,
+                             journal=str(journal), workers=workers,
+                             **{field: "bogus"})
+        with pytest.raises(ValueError, match=f"bad {noun} spec 'bogus'"):
+            run_native_study(config)
+        assert not journal.exists()
+
+
 class TestNativeStudyExtensions:
     def test_extension_methods_run_in_grid(self, micro_trained_model):
         """The native runner accepts extension algorithms with kwargs."""

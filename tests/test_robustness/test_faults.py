@@ -66,6 +66,25 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="empty"):
             parse_fault_specs("  ,  ")
 
+    @pytest.mark.parametrize("text,expected", [
+        # the specs CI, README and docs run
+        ("nan@1", (FaultSpec("nan", at=(1,)),)),
+        ("nan@2", (FaultSpec("nan", at=(2,)),)),
+        ("nan:0.2", (FaultSpec("nan", rate=0.2),)),
+        ("nan:0.2,constant@3",
+         (FaultSpec("nan", rate=0.2), FaultSpec("constant", at=(3,)))),
+    ])
+    def test_documented_specs(self, text, expected):
+        assert parse_fault_specs(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "nan@-1",           # was accepted, and the fault never fired
+        "nan:inf", "nan:x", "bogus",
+    ])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ValueError, match=f"bad fault spec '{text}'"):
+            parse_fault_specs(text)
+
 
 class TestSchedule:
     def test_same_seed_same_plan(self):

@@ -125,7 +125,8 @@ class TestCli:
     def test_malformed_scenario_exits_2(self, command, text):
         proc = run_cli(command, "--scenario", text)
         assert proc.returncode == 2
-        assert "bad --scenario" in proc.stderr
+        assert "argument --scenario: bad scenario spec" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_stream_scenario_end_to_end(self, tmp_path):
         out = tmp_path / "outcome.json"

@@ -79,6 +79,12 @@ class TestCanonicalization:
         "markov", "markov:p=0.25", "cyclic:dwell=2@3",
         "ramp:dwell=1+over=fog@4", "imbalanced:alpha=0.5+over=snow",
         "budgeted:period=4", "cyclic:over=clean|fog@1",
+        # the specs CI, README and docs run
+        "markov:p=0.3+over=fog|gaussian_noise|contrast", "markov:p=0.1@3",
+        "cyclic:dwell=4+over=fog|gaussian_noise",
+        "cyclic:dwell=2+over=fog|gaussian_noise@3",
+        "cyclic:dwell=4+over=fog|snow", "ramp:dwell=2+over=fog@4",
+        "imbalanced:alpha=0.3", "budgeted:budget=2+period=8",
     ])
     def test_round_trip_examples(self, text):
         spec = parse_scenario_spec(text)
@@ -114,6 +120,9 @@ MALFORMED = [
     "imbalanced:over=fog|snow",      # single-corruption kind
     "budgeted:budget=9+period=4",    # budget > period
     "budgeted:period=0",             # period < 1
+    "cyclic:dwell=inf",              # non-finite (was an OverflowError)
+    "budgeted:period=inf",           # non-finite (was an OverflowError)
+    "imbalanced:alpha=inf",          # non-finite (compact() overflowed)
 ]
 
 
@@ -142,7 +151,27 @@ GOLDEN_FINGERPRINTS = {
 }
 
 
+#: the specs CI, README and docs run, with their canonical form and
+#: fingerprint: records and journals already carry these stamps
+DOCUMENTED = {
+    "markov:p=0.3+over=fog|gaussian_noise|contrast":
+        ("markov:p=0.3+over=fog|gaussian_noise|contrast", "90d54d5acad12742"),
+    "markov:p=0.1@3": ("markov@3", "32e99953979ef03a"),
+    "cyclic:dwell=4+over=fog|gaussian_noise":
+        ("cyclic:over=fog|gaussian_noise", "3d056b0490fd87f4"),
+    "cyclic:dwell=2+over=fog|gaussian_noise@3":
+        ("cyclic:dwell=2+over=fog|gaussian_noise@3", "c658a1f13837a372"),
+    "ramp:dwell=2+over=fog@4": ("ramp:over=fog@4", "f69cedec44cabead"),
+    "budgeted:budget=2+period=8": ("budgeted", "e354064c55298c8d"),
+}
+
+
 class TestFingerprint:
+    @pytest.mark.parametrize("text,expected", sorted(DOCUMENTED.items()))
+    def test_documented_specs_keep_their_form(self, text, expected):
+        spec = parse_scenario_spec(text)
+        assert (spec.compact(), spec.fingerprint()) == expected
+
     @pytest.mark.parametrize("text,expected",
                              sorted(GOLDEN_FINGERPRINTS.items()))
     def test_golden_fingerprints(self, text, expected):

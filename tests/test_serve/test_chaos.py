@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.robustness.faults import parse_fault_specs
+from repro.robustness.faults import FaultSpec, parse_fault_specs
 from repro.serve import (
     ChaosProxy,
     NETWORK_FAULT_NAMES,
@@ -71,6 +71,18 @@ class TestGrammar:
         text = ",".join(f"{name}@1" for name in NETWORK_FAULT_NAMES)
         specs = parse_network_fault_specs(text)
         assert tuple(s.fault for s in specs) == NETWORK_FAULT_NAMES
+
+    @pytest.mark.parametrize("text,expected", [
+        # the specs CI and README run
+        ("disconnect:0.1,truncate@5",
+         (FaultSpec("disconnect", rate=0.1), FaultSpec("truncate", at=(5,)))),
+        ("disconnect@5,truncate@11",
+         (FaultSpec("disconnect", at=(5,)), FaultSpec("truncate", at=(11,)))),
+        ("disconnect@2,truncate@4",
+         (FaultSpec("disconnect", at=(2,)), FaultSpec("truncate", at=(4,)))),
+    ])
+    def test_documented_specs(self, text, expected):
+        assert parse_network_fault_specs(text) == expected
 
     def test_proxy_refuses_batch_fault_specs(self):
         with pytest.raises(ValueError, match="not a network fault"):

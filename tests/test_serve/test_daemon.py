@@ -226,3 +226,17 @@ class TestBusyPort:
             assert len(os.listdir("/proc/self/fd")) == before
         finally:
             manager.close()
+
+
+class TestDurationFlags:
+    @pytest.mark.parametrize("flag,value", [
+        ("--io-timeout", "-1"), ("--idle-evict", "-5"),
+        ("--drain-timeout", "-5"), ("--io-timeout", "nan"),
+    ])
+    def test_negative_or_nan_duration_exits_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be >= 0" in err
+        assert err.count("error:") == 1 and "Traceback" not in err

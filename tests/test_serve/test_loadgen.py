@@ -27,6 +27,12 @@ class TestArrivalGrammar:
         ("poisson:rate=120", ArrivalSpec("poisson", 120.0, 4)),
         ("burst:rate=64+size=8", ArrivalSpec("burst", 64.0, 8)),
         (" uniform : rate=32 ", ArrivalSpec("uniform", 32.0, 4)),
+        # the specs CI, README, docs and the CLI defaults use
+        ("poisson:rate=40", ArrivalSpec("poisson", 40.0, 4)),
+        ("poisson:rate=64", ArrivalSpec("poisson", 64.0, 4)),
+        ("poisson:rate=256", ArrivalSpec("poisson", 256.0, 4)),
+        ("uniform:rate=64", ArrivalSpec("uniform", 64.0, 4)),
+        ("burst:rate=128+size=4", ArrivalSpec("burst", 128.0, 4)),
     ])
     def test_parse(self, text, expected):
         assert parse_arrival_spec(text) == expected
@@ -38,6 +44,15 @@ class TestArrivalGrammar:
         spec = ArrivalSpec(kind=kind, rate=96.0, size=size)
         assert parse_arrival_spec(spec.compact()) == spec
 
+    @pytest.mark.parametrize("spec,text", [
+        (ArrivalSpec("poisson", 0.1234567), "poisson:rate=0.1234567"),
+        (ArrivalSpec("uniform", 1234567.0), "uniform:rate=1234567"),
+        (ArrivalSpec("uniform", 64.0, 8), "uniform:rate=64+size=8"),
+    ])
+    def test_compact_is_exact(self, spec, text):
+        assert spec.compact() == text
+        assert parse_arrival_spec(text) == spec
+
     @pytest.mark.parametrize("text,match", [
         ("", "empty"),
         ("warp:rate=9", "unknown arrival kind"),
@@ -46,6 +61,7 @@ class TestArrivalGrammar:
         ("poisson:rate=fast", "non-numeric"),
         ("uniform:rate=0", "rate must be"),
         ("burst:size=0", "size must be"),
+        ("poisson:rate=inf", "rate must be finite"),
     ])
     def test_rejections(self, text, match):
         with pytest.raises(ValueError, match=match):
@@ -283,5 +299,7 @@ class TestServeBenchCli:
         assert "boom" in capsys.readouterr().err
 
     def test_bad_arrival_spec_exits_two(self, capsys):
-        assert main(["serve-bench", "--arrival", "warp:rate=9"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["serve-bench", "--arrival", "warp:rate=9"])
+        assert exited.value.code == 2
         assert "unknown arrival kind" in capsys.readouterr().err
