@@ -34,6 +34,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -81,6 +82,10 @@ def _acquisition_stack(limit: int = 10) -> List[str]:
     return frames
 
 
+#: every watch alive, so a forked child can renew their meta locks
+_WATCHES: "weakref.WeakSet[LockWatch]" = weakref.WeakSet()
+
+
 class LockWatch:
     """Observed lock-order graph + per-thread held stacks.
 
@@ -91,6 +96,7 @@ class LockWatch:
     def __init__(self, long_hold_s: float = 0.5):
         self.long_hold_s = float(long_hold_s)
         self._meta = _thread.allocate_lock()
+        _WATCHES.add(self)
         self._tls = threading.local()
         self.locks_created = 0
         self.acquisitions = 0
@@ -275,6 +281,10 @@ class InstrumentedLock:
     def locked(self) -> bool:
         return self._real.locked()
 
+    def _at_fork_reinit(self) -> None:
+        # what the stdlib's at-fork hooks (logging's) call in a child
+        self._real._at_fork_reinit()
+
     def __enter__(self) -> "InstrumentedLock":
         self.acquire()
         return self
@@ -322,6 +332,11 @@ class InstrumentedRLock:
     def _is_owned(self) -> bool:
         return self._real._is_owned()
 
+    def _at_fork_reinit(self) -> None:
+        # what the stdlib's at-fork hooks (logging's) call in a child
+        self._real._at_fork_reinit()
+        self._depth = 0
+
     def __repr__(self) -> str:
         return f"<InstrumentedRLock {self._label} depth={self._depth}>"
 
@@ -330,6 +345,19 @@ class InstrumentedRLock:
 #: each level restores the factories it replaced)
 _ACTIVE: List[LockWatch] = []
 _PATCH_LOCK = _thread.allocate_lock()
+
+
+def _renew_meta_locks() -> None:
+    # a forked child keeps only the forking thread: a meta lock another
+    # thread held at the fork would never be released there, and the
+    # child's next instrumented acquire would wait on it for good
+    _PATCH_LOCK._at_fork_reinit()
+    for watch in list(_WATCHES):
+        watch._meta._at_fork_reinit()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_meta_locks)
 
 
 def active_watch() -> Optional[LockWatch]:

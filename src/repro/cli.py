@@ -373,8 +373,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                  io_timeout=args.io_timeout,
                                  idle_evict_s=args.idle_evict)
         except OSError as error:
-            # no daemon owns the manager yet: stop its scheduler threads
-            # and release its BLAS hold and journal here
+            # no daemon owns the manager yet: stop its scheduler threads,
+            # its host processes and its journal here
             manager.close()
             print(f"error: cannot listen on {args.host}:{args.port}: "
                   f"{error}", file=sys.stderr)
@@ -860,9 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "shutdown")
     serve.add_argument("--workers", type=_positive_int, default=2,
                        metavar="N",
-                       help="cross-tenant batch-scheduler worker threads "
-                            "(batches from different tenants adapt "
-                            "concurrently; per-tenant order is preserved)")
+                       help="host processes the tenants' sessions run in "
+                            "(tenants on different hosts adapt in "
+                            "parallel; per-tenant order is preserved)")
     serve.set_defaults(func=_cmd_serve)
 
     serve_client = sub.add_parser(
@@ -1029,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
                              default="poisson:rate=256", type=_ARRIVAL_TEXT,
                              help="arrival spec (see serve-client --load)")
     serve_bench.add_argument("--workers", type=_positive_int, default=2,
-                             help="batch-scheduler worker threads")
+                             help="host processes the sessions run in")
     serve_bench.add_argument("--method",
                              choices=METHOD_NAMES + EXTENSION_METHOD_NAMES,
                              default="bn_opt")

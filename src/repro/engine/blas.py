@@ -12,6 +12,12 @@ Numerics do not move: OpenBLAS splits a GEMM over blocks of the output,
 never over the K sum, so every element is summed in the same order at
 any thread count.
 
+A count that is already one is left alone.  After a ``fork`` OpenBLAS
+re-creates its thread pool on the next call that sets the count, and
+the new threads spin for about 0.1 s of CPU before they sleep: a
+process that forks workers sets one thread *before* the fork, and the
+children inherit it (:mod:`repro.serve.host`).
+
 The runtime is found by reading ``/proc/self/maps`` once per process;
 where nothing controllable is loaded (MKL, Accelerate, non-Linux) every
 entry point is a no-op and :func:`blas_threads` reports ``None``.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import sys
 import threading
 from typing import Any, Optional, Tuple
@@ -39,6 +46,20 @@ _Runtime = Tuple[Any, Any]          # ctypes (get, set) functions
 _lock = threading.Lock()
 _holders = 0
 _saved = 0
+
+
+def _forget_holders() -> None:
+    # a forked child keeps only the forking thread: a lock another
+    # thread held at the fork would never be released there, and the
+    # parent's holders stay with the parent
+    global _holders
+    _lock._at_fork_reinit()
+    with _lock:
+        _holders = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_holders)
 
 
 def _locate() -> Optional[_Runtime]:
@@ -95,7 +116,8 @@ class SingleBlasThread:
         with _lock:
             if _holders == 0:
                 _saved = int(get())
-                put(1)
+                if _saved != 1:
+                    put(1)
             _holders += 1
 
     def release(self) -> None:
@@ -105,7 +127,7 @@ class SingleBlasThread:
             if runtime is None:
                 return
             _holders -= 1
-            if _holders == 0:
+            if _holders == 0 and _saved != 1:
                 runtime[1](_saved)
 
     def __enter__(self) -> "SingleBlasThread":

@@ -22,18 +22,33 @@ execution contract to N worker processes:
 Select it from the study config (``StudyConfig.workers``) or the CLI
 (``python -m repro native --workers N``); ``workers=0`` keeps the
 serial :class:`~repro.core.executor.ResilientExecutor` path.
+
+The package imports nothing up front: each name below loads its
+submodule on first access, so the pretrain cache's
+``repro.parallel.filelock`` does not bring the executor, the worker and
+the study harness of :mod:`repro.core` with it.
 """
 
-from repro.parallel.filelock import FileLock, FileLockTimeout
-from repro.parallel.worker import CellRunner, CellTask, seed_for_cell
-from repro.parallel.executor import ParallelExecutor, WorkerCrashError
+from __future__ import annotations
 
-__all__ = [
-    "CellRunner",
-    "CellTask",
-    "FileLock",
-    "FileLockTimeout",
-    "ParallelExecutor",
-    "WorkerCrashError",
-    "seed_for_cell",
-]
+import importlib
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "CellRunner": "worker",
+    "CellTask": "worker",
+    "FileLock": "filelock",
+    "FileLockTimeout": "filelock",
+    "ParallelExecutor": "executor",
+    "WorkerCrashError": "executor",
+    "seed_for_cell": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -30,7 +30,6 @@ from repro.resilience.journal import (
     RunJournal,
     scan_journal,
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "atomic_path",
@@ -43,3 +42,12 @@ __all__ = [
     "RunJournal",
     "scan_journal",
 ]
+
+
+def __getattr__(name: str):
+    # RetryPolicy loads on first access: the serve daemon reaches this
+    # package through its journal and never retries anything
+    if name == "RetryPolicy":
+        from repro.resilience.retry import RetryPolicy
+        return RetryPolicy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

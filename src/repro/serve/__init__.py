@@ -11,8 +11,9 @@ edge box; this package is that runtime.  It has two halves:
   per-batch stats).  The ``stream`` CLI and the native study runner's
   cells call ``run_stream``, so the daemon serves *exactly* the code
   path the experiments measure.
-- The daemon stack — :class:`~repro.serve.manager.SessionManager`,
-  :class:`~repro.serve.daemon.ServeDaemon`,
+- The daemon stack — :class:`~repro.serve.manager.SessionManager`
+  (whose tenants adapt in forked host processes,
+  :mod:`repro.serve.host`), :class:`~repro.serve.daemon.ServeDaemon`,
   :class:`~repro.serve.client.ServeClient` and the wire protocol
   (:mod:`repro.serve.protocol`) — multi-tenant streaming over TCP with
   journal-backed crash recovery: kill the daemon, restart with
@@ -54,6 +55,7 @@ _MODULES = {
     "client": ("ServeClient", "ServeDisconnectedError", "ServeError",
                "ServeTimeoutError"),
     "daemon": ("ServeDaemon", "serve"),
+    "host": ("HostError",),
     "loadgen": ("ARRIVAL_KINDS", "ArrivalSpec", "TenantLoad",
                 "parse_arrival_spec", "run_loadgen", "run_serving_bench"),
     "manager": ("AdmissionError", "SessionManager", "TenantSpec"),

@@ -9,9 +9,9 @@ attention).  Per-connection messages are processed strictly in order —
 a connection is *busy* while one of its messages is in flight and its
 inbox simply queues — so the wire semantics are exactly the old
 handler loop's, but a thousand idle connections now cost a thousand
-socket registrations instead of a thousand threads.  Batch execution
-is pooled too: the manager submits carved batches to the cross-tenant
-:class:`~repro.serve.scheduler.BatchScheduler`.
+socket registrations instead of a thousand threads.  Batches run
+elsewhere: the manager sends each carved batch to the host process
+that holds its tenant's session (:mod:`repro.serve.host`).
 
 Connections are stateless beyond the ``hello`` handshake: a tenant's
 session lives in the manager, not the connection, so a dropped client
@@ -63,6 +63,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.serve import protocol
 from repro.serve.checkpoint import decode_array
+from repro.serve.host import HostError
 from repro.serve.manager import AdmissionError, SessionManager, TenantSpec
 
 _log = logging.getLogger("repro.serve")
@@ -137,8 +138,8 @@ class ServeDaemon:
         oversized-frame reply).
     dispatch_workers:
         Dispatcher pool size — how many connections' messages can be
-        *handled* concurrently (batch execution itself is pooled one
-        layer down, in the manager's scheduler).
+        *handled* concurrently (batches themselves run one layer
+        down, in the manager's host processes).
     """
 
     def __init__(self, manager: SessionManager, host: str = "127.0.0.1",
@@ -350,7 +351,7 @@ class ServeDaemon:
         shutdown_drain: Optional[bool] = None
         try:
             reply, close_after, shutdown_drain = self._handle(conn, message)
-        except (AdmissionError, ValueError, KeyError) as error:
+        except (AdmissionError, HostError, ValueError, KeyError) as error:
             reply = {"type": "error",
                      "reason": str(error) or type(error).__name__}
         except Exception:

@@ -2,23 +2,32 @@
 
 A *tenant* is one named adaptation stream: its own model instance, its
 own :class:`~repro.serve.session.AdaptationSession`, its own frame
-queue.  :class:`SessionManager` owns all of them and provides the three
-operations the daemon's connection handlers call:
+queue.  :class:`SessionManager` admits and tracks all of them and
+provides the three operations the daemon's connection handlers call:
 
 - :meth:`open_tenant` — admit (or re-attach to) a tenant from a
   :class:`TenantSpec`, resuming from the journal when one is configured;
 - :meth:`ingest` — append frames to the tenant's queue, apply admission
-  control, and coalesce full adaptation batches through the session;
+  control, and coalesce full adaptation batches;
 - :meth:`close_tenant` — finish the stream and journal the scorecard.
 
-Batches are *not* run on the caller's thread: ingest carves them and
-submits each to a shared :class:`~repro.serve.scheduler.BatchScheduler`
-(cross-tenant round-robin over ``workers`` threads), then waits the
-tickets out so the ack is still synchronous.  Per-tenant order and
-non-overlap are the scheduler's invariants, so the stream stays
-bit-identical to PR 8's inline processing; what changed is that many
-tenants' batches now share one bounded pool instead of each hogging
-its own connection thread.
+The sessions live in ``workers`` host processes
+(:mod:`repro.serve.host`), forked when the manager is built.  Admission
+places a tenant on the least-loaded live host, where its session stays
+for the tenant's life; a checkpoint carries a tenant's whole state, so
+an evicted or resumed tenant may land on any host.  Each host has its
+own single-worker :class:`~repro.serve.scheduler.BatchScheduler`:
+ingest carves batches and submits each under the tenant's key, the
+worker sends it to the host as one round trip, and ingest waits the
+tickets out, so the ack is still synchronous.  Per-tenant order and
+non-overlap are the scheduler's invariants, so a stream stays
+bit-identical to running its batches inline, one after another, while
+tenants on different hosts adapt in parallel.
+
+The manager keeps what the ack, ``status`` and the journal need: the
+scorecard the host returned with its last reply, and the counts only
+the front sees — faults the client reported and frames admission
+dropped — which travel to the host on the tenant's next request.
 
 Durability follows the study runners' journal discipline
 (:mod:`repro.resilience.journal`): every processed batch appends a
@@ -37,22 +46,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import threading
 import time
-from dataclasses import asdict, dataclass
+import weakref
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engine import create_backend, use_backend
-from repro.engine.blas import blas_threads
+from repro.engine import BACKEND_NAMES, create_backend
+from repro.engine.blas import SingleBlasThread
 from repro.models.registry import build_model
 from repro.nn import init as nn_init
 from repro.resilience.journal import RunJournal
+from repro.scenarios.metrics import StreamScorecard
+from repro.serve.host import Host, HostError, start_hosts
 from repro.serve.protocol import scorecard_to_dict
-from repro.serve.scheduler import BatchScheduler, BatchTicket
+from repro.serve.scheduler import BatchTicket
 from repro.serve.session import AdaptationSession
+
+_log = logging.getLogger("repro.serve")
 
 #: journal event names of the serve layer (the study runners own
 #: run_start/cell_ok/...; serve events are disjoint so one scanner can
@@ -112,11 +127,11 @@ class TenantSpec:
 
 
 class _Tenant:
-    """One admitted tenant: spec, session, frame queue, its own lock."""
+    """One admitted tenant: spec, host, frame queue, its own lock."""
 
-    def __init__(self, spec: TenantSpec, session: AdaptationSession) -> None:
+    def __init__(self, spec: TenantSpec, host: Host) -> None:
         self.spec = spec
-        self.session = session
+        self.host = host
         self.pending_images: List[np.ndarray] = []
         self.pending_labels: List[np.ndarray] = []
         self.lock = threading.Lock()
@@ -126,10 +141,19 @@ class _Tenant:
         self.last_chunk = -1
         #: monotonic instant of the last ingest/open (idle eviction)
         self.last_active = time.monotonic()
-        #: frames carved into batches sitting in (or running on) the
-        #: scheduler — counted against :attr:`capacity` so admission
-        #: sees the true backlog, not just the uncarved remainder
+        #: frames carved into batches sitting in the scheduler — counted
+        #: against :attr:`capacity` so admission sees the true backlog,
+        #: not just the uncarved remainder
         self.queued_frames = 0
+        #: the scorecard the host returned with its last reply
+        self.card: Optional[StreamScorecard] = None
+        #: running totals only the front sees; each request carries them
+        self.faults = 0
+        self.dropped = 0
+        #: the open request; every other request waits for it
+        self.opened: Optional[BatchTicket] = None
+        #: the close request, shared by concurrent closers
+        self.closing: Optional[BatchTicket] = None
 
     @property
     def capacity(self) -> int:
@@ -137,16 +161,58 @@ class _Tenant:
         ``queue_capacity`` batches of backlog."""
         return (self.spec.queue_capacity + 1) * self.spec.batch_size
 
+    def counts(self) -> tuple:
+        """The front's totals as the host's next request carries them."""
+        return self.faults, self.dropped
+
+    def scorecard(self) -> StreamScorecard:
+        """The host's last scorecard with the front's totals applied."""
+        return replace(self.card, faults_injected=self.faults,
+                       frames_dropped=self.dropped,
+                       frames_total=self.card.frames_processed + self.dropped)
+
+    def ack(self, accepted: int, dropped: int, duplicate: bool) -> dict:
+        card = self.card
+        return {"accepted": accepted, "dropped": dropped,
+                "duplicate": duplicate, "batches_done": card.batches_total,
+                "rollbacks": card.rollbacks,
+                "degraded_batches": card.degraded_batches,
+                "fallback_frames": card.fallback_frames}
+
+    def journal_entry(self, checkpoint: dict) -> dict:
+        """The ``tenant_checkpoint`` journal entry for ``checkpoint``."""
+        return {"event": "tenant_checkpoint", "tenant": self.spec.tenant,
+                "fingerprint": self.spec.fingerprint(),
+                "batches_done": self.card.batches_total,
+                "chunk": self.last_chunk, "checkpoint": checkpoint}
+
+
+def _release(hosts: List[Host], journal: Optional[RunJournal],
+             blas: SingleBlasThread) -> None:
+    """Stop the hosts' schedulers, then the hosts; close the journal and
+    release the one-thread BLAS hold."""
+    for host in hosts:
+        host.scheduler.close()
+    for host in hosts:
+        host.stop()
+    if journal is not None:
+        journal.close()
+    blas.release()
+
 
 class SessionManager:
-    """Owns every tenant session plus the shared backend and journal.
+    """Admits tenants onto host processes and owns the journal.
 
     Thread-safe: connection handler threads call into it concurrently.
     The tenant table has its own lock, each tenant serializes its
-    stream behind a per-tenant lock (frames for one tenant process in
-    arrival order even across connections), and journal appends — the
+    front-side state (frame queue, counts, dedupe line) behind a
+    per-tenant lock, and journal appends — the
     :class:`~repro.resilience.journal.RunJournal` is not itself
     thread-safe — are serialized behind a journal lock.
+
+    ``workers`` is the number of host processes, forked here, before
+    the manager starts a thread or opens its journal; ``backend`` names
+    the engine backend each host builds for itself.
     """
 
     def __init__(self, *, journal: Optional[str] = None,
@@ -159,6 +225,11 @@ class SessionManager:
             raise ValueError("checkpoint_every must be >= 1")
         if compact_above < 0:
             raise ValueError("compact_above must be >= 0")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if backend not in BACKEND_NAMES:
+            raise ValueError(f"unknown backend {backend!r}; expected one "
+                             f"of {BACKEND_NAMES}")
         self.max_tenants = max_tenants
         self.checkpoint_every = checkpoint_every
         #: journal size (bytes) above which a checkpoint append triggers
@@ -166,21 +237,37 @@ class SessionManager:
         self.compact_above = compact_above
         self.evictions = 0
         self.compactions = 0
-        self._backend = create_backend(backend)
         self._tenants: Dict[str, _Tenant] = {}
         self._tenants_lock = threading.Lock()
         self._journal_lock = threading.Lock()
-        self._journal = RunJournal(journal, resume=resume) if journal else None
         self._saved: Dict[str, dict] = {}
         self._final: Dict[str, object] = {}
-        if self._journal is not None:
-            if resume:
-                self._saved = self._scan_saved()
-            self._append({"event": "serve_start",
-                          "resumed_tenants": sorted(self._saved)})
-        # last: a journal that fails to open or scan must not leave
-        # worker threads (and their one-thread BLAS hold) behind
-        self._scheduler = BatchScheduler(workers=workers)
+        self._journal: Optional[RunJournal] = None
+        self._hosts: List[Host] = []
+        # BLAS at one thread before the fork: the hosts inherit the count
+        # and never set it themselves (see repro.engine.blas)
+        blas = SingleBlasThread()
+        try:
+            # first: the hosts fork from a process with no thread and no
+            # journal of this manager's yet (see repro.serve.host)
+            self._hosts = start_hosts(workers,
+                                      partial(create_backend, backend))
+            if journal:
+                self._journal = RunJournal(journal, resume=resume)
+                if resume:
+                    self._saved = self._scan_saved()
+                self._append({"event": "serve_start",
+                              "resumed_tenants": sorted(self._saved)})
+        except BaseException:
+            # a journal that fails to open or scan leaves no host behind
+            _release(self._hosts, self._journal, blas)
+            raise
+        # a manager dropped without close() (the kill-resume tests'
+        # SIGKILL) still ends its hosts and closes its journal file
+        self._release = weakref.finalize(self, _release, self._hosts,
+                                         self._journal, blas)
+        for host in self._hosts:
+            host.scheduler.start()
 
     # -- journal -------------------------------------------------------
 
@@ -215,6 +302,13 @@ class SessionManager:
         return AdaptationSession(model, spec.method, guard=spec.guard,
                                  tenant=spec.tenant)
 
+    def _place(self) -> Host:
+        """The least-loaded live host, the first one on a tie."""
+        live = [host for host in self._hosts if host.alive]
+        if not live:
+            raise AdmissionError("no host process is alive")
+        return min(live, key=lambda host: host.tenants)
+
     def open_tenant(self, spec: TenantSpec) -> dict:
         """Admit ``spec``, resuming from the journal when possible.
 
@@ -223,53 +317,96 @@ class SessionManager:
         Re-opening a tenant already live in this process re-attaches to
         it (the spec must match); a tenant with a checkpoint from a
         previous daemon life — or suspended here by idle eviction — is
-        restored from it.  A resume refused for a different spec
-        (:class:`AdmissionError`) or different model weights
-        (``ValueError`` from
+        restored from it, on whichever host admission picks.  A resume
+        refused for a different spec (:class:`AdmissionError`) or
+        different model weights (``ValueError`` from
         :meth:`~repro.serve.session.AdaptationSession.load_checkpoint`)
         keeps the checkpoint, so a retry with the right spec resumes.
         """
+        saved = None
         with self._tenants_lock:
-            live = self._tenants.get(spec.tenant)
-            if live is not None:
-                if live.spec != spec:
+            entry = self._tenants.get(spec.tenant)
+            live = entry is not None
+            if live:
+                if entry.spec != spec:
                     raise AdmissionError(
                         f"tenant {spec.tenant!r} is live with a different "
                         "spec")
-                return {"resumed": True,
-                        "batches_done": live.session.batches_total,
-                        "chunk": live.last_chunk}
-            if len(self._tenants) >= self.max_tenants:
-                raise AdmissionError(
-                    f"tenant limit reached ({self.max_tenants})")
-            # the saved entry goes only once the session has loaded it: a
-            # refused resume (spec or weights mismatch) keeps it for a retry
-            saved = self._saved.get(spec.tenant)
-            if saved is not None and saved["fingerprint"] != spec.fingerprint():
-                raise AdmissionError(
-                    f"tenant {spec.tenant!r} was journaled under a "
-                    "different spec; refusing to resume")
-            session = self._build_session(spec)
-            if saved is not None:
-                session.load_checkpoint(saved["checkpoint"])
-                del self._saved[spec.tenant]
             else:
-                session.start()
-            tenant = _Tenant(spec, session)
-            if saved is not None:
-                tenant.last_chunk = int(saved.get("chunk", -1))
-            self._tenants[spec.tenant] = tenant
-        self._append({"event": "tenant_open", "tenant": spec.tenant,
-                      "spec": asdict(spec),
-                      "fingerprint": spec.fingerprint(),
-                      "resumed": saved is not None})
-        return {"resumed": saved is not None,
-                "batches_done": session.batches_total,
-                "chunk": tenant.last_chunk}
+                if len(self._tenants) >= self.max_tenants:
+                    raise AdmissionError(
+                        f"tenant limit reached ({self.max_tenants})")
+                saved = self._saved.get(spec.tenant)
+                if saved is not None \
+                        and saved["fingerprint"] != spec.fingerprint():
+                    raise AdmissionError(
+                        f"tenant {spec.tenant!r} was journaled under a "
+                        "different spec; refusing to resume")
+                host = self._place()
+                # built here, where every host shares one model cache
+                session = self._build_session(spec)
+                entry = _Tenant(spec, host)
+                if saved is not None:
+                    entry.last_chunk = int(saved.get("chunk", -1))
+                host.tenants += 1
+                self._tenants[spec.tenant] = entry
+                entry.opened = host.scheduler.submit(
+                    spec.tenant,
+                    partial(self._open_in_host, entry, session, saved))
+        try:
+            entry.opened.wait()
+        except BaseException:
+            if not live:
+                self._forget(entry)
+            raise
+        if not live:
+            self._append({"event": "tenant_open", "tenant": spec.tenant,
+                          "spec": asdict(spec),
+                          "fingerprint": spec.fingerprint(),
+                          "resumed": saved is not None})
+        return {"resumed": live or saved is not None,
+                "batches_done": entry.card.batches_total,
+                "chunk": entry.last_chunk}
+
+    def _open_in_host(self, entry: _Tenant, session: AdaptationSession,
+                      saved: Optional[dict]) -> None:
+        """Ship the unstarted session to its host, which starts it or
+        resumes it from ``saved`` (scheduler worker)."""
+        checkpoint = None if saved is None else saved["checkpoint"]
+        card = entry.host.call("open", entry.spec.tenant, session,
+                               checkpoint)
+        with entry.lock:
+            entry.card = card
+            entry.faults, entry.dropped = card.faults_injected, \
+                card.frames_dropped
+        if saved is not None:
+            # the saved entry goes only once the host has loaded it: a
+            # refused resume (spec or weights mismatch) keeps it
+            with self._tenants_lock:
+                if self._saved.get(entry.spec.tenant) is saved:
+                    del self._saved[entry.spec.tenant]
+
+    def _forget(self, entry: _Tenant) -> None:
+        """Drop ``entry`` from the table and free its host slot."""
+        with self._tenants_lock:
+            if self._tenants.get(entry.spec.tenant) is entry:
+                del self._tenants[entry.spec.tenant]
+                entry.host.tenants -= 1
 
     def session(self, tenant: str) -> AdaptationSession:
-        """The live session of one tenant (tests and handlers)."""
-        return self._get(tenant).session
+        """A copy of one tenant's session, fetched from its host.
+
+        It reflects every request queued for the tenant before this
+        call; changing it changes nothing in the host (tests read the
+        adapted model from it).
+        """
+        entry = self._get(tenant)
+        with entry.lock:
+            counts = entry.counts()
+        ticket = entry.host.scheduler.submit(
+            tenant, partial(entry.host.call, "session", tenant, counts))
+        ticket.wait()
+        return ticket.result
 
     def tenants(self) -> List[str]:
         """Names of the currently live tenants."""
@@ -278,10 +415,11 @@ class SessionManager:
 
     def _get(self, tenant: str) -> _Tenant:
         with self._tenants_lock:
-            try:
-                return self._tenants[tenant]
-            except KeyError:
-                raise AdmissionError(f"unknown tenant {tenant!r}") from None
+            entry = self._tenants.get(tenant)
+        if entry is None:
+            raise AdmissionError(f"unknown tenant {tenant!r}")
+        entry.opened.wait()     # usable once its host has opened it
+        return entry
 
     # -- streaming -----------------------------------------------------
 
@@ -293,8 +431,8 @@ class SessionManager:
         Frames beyond the tenant's buffer capacity are dropped (scored
         as drops, exactly the real-time simulator's overflow rule);
         accepted frames are coalesced into ``batch_size`` adaptation
-        batches, submitted to the shared cross-tenant scheduler, and
-        *waited out* — the ack reflects every batch of this chunk —
+        batches, submitted to the tenant's host scheduler, and *waited
+        out* — the ack reflects every batch of this chunk —
         checkpointing every ``checkpoint_every`` batches.  Carving and
         submission happen under the tenant lock so concurrent ingests
         for one tenant enqueue in arrival order; the wait happens
@@ -319,26 +457,15 @@ class SessionManager:
         with entry.lock:
             if entry.closed:
                 raise AdmissionError(f"tenant {tenant!r} is closed")
-            session = entry.session
             entry.last_active = time.monotonic()
             if chunk is not None and int(chunk) <= entry.last_chunk:
-                card = session.scorecard()
-                return {
-                    "accepted": 0,
-                    "dropped": 0,
-                    "duplicate": True,
-                    "batches_done": session.batches_total,
-                    "rollbacks": card.rollbacks,
-                    "degraded_batches": card.degraded_batches,
-                    "fallback_frames": card.fallback_frames,
-                }
-            session.faults_injected += int(faults)
+                return entry.ack(0, 0, duplicate=True)
+            entry.faults += int(faults)
             backlog = len(entry.pending_images) + entry.queued_frames
             space = entry.capacity - backlog
             accepted = max(0, min(len(images), space))
             dropped = len(images) - accepted
-            if dropped:
-                session.drop_frames(dropped)
+            entry.dropped += dropped
             entry.pending_images.extend(np.asarray(image)
                                         for image in images[:accepted])
             entry.pending_labels.extend(int(label)
@@ -352,62 +479,51 @@ class SessionManager:
                 del entry.pending_images[:batch]
                 del entry.pending_labels[:batch]
                 entry.queued_frames += batch
-                tickets.append(self._scheduler.submit(
+                tickets.append(entry.host.scheduler.submit(
                     tenant, partial(self._process_batch, entry,
                                     batch_images, batch_labels)))
         for ticket in tickets:
             ticket.wait()
         with entry.lock:
-            card = session.scorecard()
-            return {
-                "accepted": accepted,
-                "dropped": dropped,
-                "duplicate": False,
-                "batches_done": session.batches_total,
-                "rollbacks": card.rollbacks,
-                "degraded_batches": card.degraded_batches,
-                "fallback_frames": card.fallback_frames,
-            }
+            return entry.ack(accepted, dropped, duplicate=False)
 
     def _process_batch(self, entry: _Tenant, images: np.ndarray,
                        labels: np.ndarray) -> None:
-        """Run one carved batch (scheduler worker thread).
+        """Run one carved batch in the tenant's host (scheduler worker).
 
-        The tenant lock serializes against close/evict/drain; the
-        scheduler already guarantees one batch per tenant at a time and
-        FIFO order, so taking the lock here never contends with another
-        batch of the same tenant.
+        One round trip: the request carries the front's counts and asks
+        for a checkpoint when one is due; the reply's scorecard becomes
+        the tenant's, and its checkpoint is journaled.  The scheduler
+        runs the tenant's requests one at a time in FIFO order, so no
+        lock is held while the host works.
         """
         with entry.lock:
             entry.queued_frames -= len(images)
-            if entry.closed:
-                return      # close or evict raced the queue: discarded
-            with use_backend(self._backend):
-                entry.session.process_batch(images, labels)
-            if entry.session.batches_total % self.checkpoint_every == 0:
-                self._checkpoint(entry)
-
-    def _checkpoint(self, entry: _Tenant) -> None:
-        if self._journal is None:
-            return      # nothing keeps it: do not build the checkpoint
-        self._append({"event": "tenant_checkpoint",
-                      "tenant": entry.spec.tenant,
-                      "fingerprint": entry.spec.fingerprint(),
-                      "batches_done": entry.session.batches_total,
-                      "chunk": entry.last_chunk,
-                      "checkpoint": entry.session.checkpoint()})
-        self.maybe_compact()
+            counts = entry.counts()
+            due = self._journal is not None and \
+                (entry.card.batches_total + 1) % self.checkpoint_every == 0
+        card, checkpoint = entry.host.call(
+            "batch", entry.spec.tenant, counts, images, labels, due)
+        with entry.lock:
+            entry.card = card
+            if checkpoint is not None:
+                self._append(entry.journal_entry(checkpoint))
+                self.maybe_compact()
 
     def scorecard(self, tenant: str):
         """The tenant's current scorecard (live counters included)."""
-        return self._get(tenant).session.scorecard()
+        entry = self._get(tenant)
+        with entry.lock:
+            return entry.scorecard()
 
     def close_tenant(self, tenant: str, *, restore: bool = False):
         """Finish one tenant's stream; returns its final scorecard.
 
         Idempotent: re-closing an already-closed tenant (a retrying
         client whose ``closed`` reply was lost on a severed connection)
-        returns the recorded final scorecard instead of refusing.
+        returns the recorded final scorecard instead of refusing.  The
+        close request queues behind the tenant's carved batches, so the
+        final scorecard counts every frame an ack already admitted.
         """
         try:
             entry = self._get(tenant)
@@ -417,16 +533,22 @@ class SessionManager:
             if final is not None:
                 return final
             raise
-        # wait out this tenant's queued/in-flight batches first, so the
-        # final scorecard counts every frame an ack already admitted
-        self._scheduler.wait_key(tenant)
         with entry.lock:
-            if not entry.closed:
-                entry.session.close(restore_model=restore)
+            if entry.closing is None:
+                if entry.closed:
+                    raise AdmissionError(
+                        f"tenant {tenant!r} is being suspended")
                 entry.closed = True
-        card = entry.session.scorecard()
+                entry.closing = entry.host.scheduler.submit(
+                    tenant, partial(entry.host.call, "close", tenant,
+                                    entry.counts(), restore))
+            closing = entry.closing
+        try:
+            closing.wait()
+        finally:
+            self._forget(entry)
+        card = closing.result
         with self._tenants_lock:
-            self._tenants.pop(tenant, None)
             self._final[tenant] = card
             while len(self._final) > _FINAL_SCORECARDS_KEPT:
                 self._final.pop(next(iter(self._final)))
@@ -441,10 +563,11 @@ class SessionManager:
 
         Checkpoint-on-evict: the tenant's full checkpoint moves into the
         suspended table (and the journal, when one is configured), its
-        session and model are dropped, and a later ``hello`` re-admits
-        it bit-identically — exactly the daemon-restart resume path, so
-        an idle tenant costs a journal entry instead of a live model.
-        Tenants mid-batch are never evicted (their lock is busy).
+        session and model are dropped from the host, and a later
+        ``hello`` re-admits it bit-identically, on any host — exactly
+        the daemon-restart resume path, so an idle tenant costs a
+        journal entry instead of a live model.  Tenants with a request
+        queued or running are never evicted.
         """
         if max_idle_s <= 0:
             return []
@@ -454,68 +577,99 @@ class SessionManager:
         now = time.monotonic()
         for name, entry in candidates:
             if not entry.lock.acquire(blocking=False):
-                continue                        # mid-batch: active
+                continue                        # mid-request: active
             try:
-                if entry.closed or entry.queued_frames \
-                        or now - entry.last_active < max_idle_s:
+                if entry.closed or entry.card is None \
+                        or entry.queued_frames \
+                        or now - entry.last_active < max_idle_s \
+                        or not entry.host.scheduler.wait_key(name, 0):
                     continue                    # queued work counts as busy
-                saved = {"event": "tenant_checkpoint", "tenant": name,
-                         "fingerprint": entry.spec.fingerprint(),
-                         "batches_done": entry.session.batches_total,
-                         "chunk": entry.last_chunk,
-                         "checkpoint": entry.session.checkpoint()}
-                with self._tenants_lock:
-                    if self._tenants.get(name) is not entry:
-                        continue                # raced a concurrent close
-                    del self._tenants[name]
-                    self._saved[name] = saved
                 entry.closed = True
-                self.evictions += 1
-                self._append(saved)
-                self._append({"event": "tenant_evict", "tenant": name,
-                              "batches_done": entry.session.batches_total})
-                evicted.append(name)
+                ticket = entry.host.scheduler.submit(
+                    name, partial(self._evict_in_host, entry,
+                                  entry.counts()))
             finally:
                 entry.lock.release()
+            try:
+                ticket.wait()
+            except HostError as error:
+                _log.warning("idle tenant %s lost: %s", name, error)
+                self._forget(entry)
+                continue
+            saved = ticket.result
+            with self._tenants_lock:
+                if self._tenants.get(name) is entry:
+                    del self._tenants[name]
+                    entry.host.tenants -= 1
+                self._saved[name] = saved
+            self.evictions += 1
+            self._append(saved)
+            self._append({"event": "tenant_evict", "tenant": name,
+                          "batches_done": saved["batches_done"]})
+            evicted.append(name)
         return evicted
+
+    def _evict_in_host(self, entry: _Tenant, counts: tuple) -> dict:
+        checkpoint = entry.host.call("evict", entry.spec.tenant, counts)
+        with entry.lock:
+            return entry.journal_entry(checkpoint)
 
     def drain(self, timeout: Optional[float] = None) -> dict:
         """Checkpoint every live tenant, then compact the journal.
 
-        The graceful-shutdown half that belongs to the manager: each
-        tenant's lock is taken (waiting out any in-flight batch, up to
-        ``timeout`` seconds overall) and a final ``tenant_checkpoint``
-        journaled, then the journal is compacted down to one checkpoint
-        per tenant.  Tenants stay *open* in the journal — a daemon
-        restarted with ``resume=True`` re-admits all of them — which is
-        what distinguishes drain from :meth:`close`.
+        The graceful-shutdown half that belongs to the manager: the
+        hosts' backlogs run dry (up to ``timeout`` seconds overall),
+        each tenant's final ``tenant_checkpoint`` is journaled, then the
+        journal is compacted down to one checkpoint per tenant.  Tenants
+        stay *open* in the journal — a daemon restarted with
+        ``resume=True`` re-admits all of them — which is what
+        distinguishes drain from :meth:`close`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        # first let the scheduler run the backlog dry: every batch an
-        # ack admitted is applied (and checkpointed) before the final
-        # per-tenant drain checkpoints are cut
-        remaining = None if deadline is None \
-            else max(0.0, deadline - time.monotonic())
-        self._scheduler.wait_idle(remaining)
+
+        def remaining() -> Optional[float]:
+            return None if deadline is None \
+                else max(0.0, deadline - time.monotonic())
+
+        # first every batch an ack admitted is applied (and
+        # checkpointed) before the final per-tenant checkpoints are cut
+        for host in self._hosts:
+            host.scheduler.wait_idle(remaining())
         with self._tenants_lock:
             entries = list(self._tenants.items())
         checkpointed: List[str] = []
         skipped: List[str] = []
         for name, entry in entries:
-            remaining = -1 if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            if not entry.lock.acquire(timeout=remaining):
-                skipped.append(name)            # stuck mid-batch past the
-                continue                        # deadline: prior per-batch
-            try:                                # checkpoints still stand
-                if not entry.closed and entry.session.active:
-                    self._checkpoint(entry)
-                    checkpointed.append(name)
+            left = remaining()
+            if not entry.lock.acquire(timeout=-1 if left is None else left):
+                skipped.append(name)            # stuck past the deadline:
+                continue                        # prior checkpoints stand
+            ticket = None
+            try:
+                if entry.closed or entry.card is None:
+                    continue
+                if self._journal is not None:
+                    ticket = entry.host.scheduler.submit(
+                        name, partial(self._drain_checkpoint, entry,
+                                      entry.counts()))
             finally:
                 entry.lock.release()
+            try:
+                if ticket is not None and not ticket.wait(remaining()):
+                    skipped.append(name)
+                    continue
+            except HostError:
+                skipped.append(name)
+                continue
+            checkpointed.append(name)
         removed = self.compact()
         return {"checkpointed": checkpointed, "skipped": skipped,
                 "compacted_entries": removed}
+
+    def _drain_checkpoint(self, entry: _Tenant, counts: tuple) -> None:
+        checkpoint = entry.host.call("checkpoint", entry.spec.tenant, counts)
+        with entry.lock:
+            self._append(entry.journal_entry(checkpoint))
 
     def compact(self) -> int:
         """Compact the journal now (no-op without one); entries removed."""
@@ -538,19 +692,23 @@ class SessionManager:
         return removed
 
     def status(self) -> dict:
-        """JSON-safe health document: tenants, journal, counters."""
+        """JSON-safe health document: tenants, hosts, journal, counters."""
         with self._tenants_lock:
             entries = list(self._tenants.items())
             suspended = sorted(self._saved)
         tenants = {}
         for name, entry in entries:
-            card = entry.session.scorecard()
+            if entry.card is None:
+                continue                        # still being opened
+            with entry.lock:
+                card = entry.scorecard()
+                pending = len(entry.pending_images) + entry.queued_frames
             tenants[name] = {
-                "batches_done": entry.session.batches_total,
-                "pending_frames": len(entry.pending_images)
-                + entry.queued_frames,
+                "batches_done": card.batches_total,
+                "pending_frames": pending,
                 "chunk": entry.last_chunk,
                 "closed": entry.closed,
+                "host": entry.host.pid,
                 "frames_processed": card.frames_processed,
                 "frames_dropped": card.frames_dropped,
                 "faults_injected": card.faults_injected,
@@ -565,26 +723,36 @@ class SessionManager:
                            "size_bytes": self._journal.size_bytes(),
                            "compact_above": self.compact_above,
                            "compactions": self.compactions}
+        stats = [host.scheduler.stats() for host in self._hosts]
+        scheduler = {key: sum(stat[key] for stat in stats)
+                     for key in ("workers", "queued", "in_flight",
+                                 "dispatched")}
+        # what batches run with: the hosts' count, the same in each
+        scheduler["blas_threads"] = self._hosts[0].blas_threads
+        hosts = [host.describe(sorted(name for name, entry in entries
+                                      if entry.host is host))
+                 for host in self._hosts]
         return {"tenants": tenants, "suspended": suspended,
                 "max_tenants": self.max_tenants,
                 "evictions": self.evictions, "journal": journal,
-                "scheduler": dict(self._scheduler.stats(),
-                                  blas_threads=blas_threads())}
+                "scheduler": scheduler, "hosts": hosts}
 
     def close(self, *, close_tenants: bool = True) -> None:
-        """Shut the manager down: close sessions, journal, backend.
+        """Shut the manager down: close sessions, hosts, journal.
 
         ``close_tenants=False`` (the drained-shutdown path) leaves
         tenants un-closed in the journal so a restart with
         ``resume=True`` re-admits them from their drain checkpoints.
         """
-        if close_tenants:
-            with self._tenants_lock:
-                names = sorted(self._tenants)
-            for name in names:
-                self.close_tenant(name)
-        self._scheduler.close()
-        if self._journal is not None:
-            with self._journal_lock:
-                self._journal.close()
-        self._backend.close()
+        try:
+            if close_tenants:
+                with self._tenants_lock:
+                    names = sorted(self._tenants)
+                for name in names:
+                    try:
+                        self.close_tenant(name)
+                    except HostError as error:
+                        _log.warning("tenant %s lost with its host: %s",
+                                     name, error)
+        finally:
+            self._release()

@@ -26,19 +26,17 @@ Submitters get a :class:`BatchTicket` per item and wait on it; the ack
 a client sees is therefore still synchronous (`batches_done` reflects
 every batch of the chunk), only the execution is pooled.
 
-From :meth:`BatchScheduler.start` until its threads have joined in
-:meth:`BatchScheduler.close` the scheduler holds BLAS at one thread
-(:mod:`repro.engine.blas`): its workers are the parallelism, and a
-per-``matmul`` BLAS pool on top of them only oversubscribes the cores.
+The serve manager runs one single-worker scheduler per host process
+(:mod:`repro.serve.host`): the worker is the only thread that talks to
+its host, so a host sees one request at a time in per-tenant FIFO order,
+and the worker waits on the host's socket with the GIL released.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
-
-from repro.engine.blas import SingleBlasThread
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 __all__ = ["BatchScheduler", "BatchTicket", "SchedulerClosedError"]
 
@@ -52,14 +50,15 @@ class BatchTicket:
 
     A deliberately tiny future: :meth:`wait` blocks until the batch ran
     (re-raising the batch's exception, if any) and returns ``False``
-    only on timeout.
+    only on timeout; :attr:`result` then holds what the item returned.
     """
 
-    __slots__ = ("_event", "error")
+    __slots__ = ("_event", "error", "result")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self.error: Optional[BaseException] = None
+        self.result: Any = None
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -71,8 +70,10 @@ class BatchTicket:
             raise self.error
         return True
 
-    def _finish(self, error: Optional[BaseException] = None) -> None:
+    def _finish(self, error: Optional[BaseException] = None,
+                result: Any = None) -> None:
         self.error = error
+        self.result = result
         self._event.set()
 
 
@@ -119,13 +120,12 @@ class BatchScheduler:
         self._dispatched = 0
         self._closed = False
         self._threads: List[threading.Thread] = []
-        self._blas: Optional[SingleBlasThread] = None
         if start:
             self.start()
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, key: str, fn: Callable[[], None]) -> BatchTicket:
+    def submit(self, key: str, fn: Callable[[], Any]) -> BatchTicket:
         """Queue ``fn`` under ``key``; returns its completion ticket."""
         ticket = BatchTicket()
         with self._cond:
@@ -149,24 +149,15 @@ class BatchScheduler:
     def start(self) -> None:
         """Start the worker pool (idempotent)."""
         started: List[threading.Thread] = []
-        # entered outside ``_cond`` so the two locks never nest; a
-        # repeated start() drops its spare hold again
-        hold: Optional[SingleBlasThread] = SingleBlasThread()
-        try:
-            with self._cond:
-                if self._closed:
-                    raise SchedulerClosedError("scheduler is closed")
-                if self._blas is None:
-                    self._blas, hold = hold, None
-                while len(self._threads) < self.workers:
-                    thread = threading.Thread(
-                        target=self._work, daemon=True,
-                        name=f"serve-batch-{len(self._threads)}")
-                    self._threads.append(thread)
-                    started.append(thread)
-        finally:
-            if hold is not None:
-                hold.release()
+        with self._cond:
+            if self._closed:
+                raise SchedulerClosedError("scheduler is closed")
+            while len(self._threads) < self.workers:
+                thread = threading.Thread(
+                    target=self._work, daemon=True,
+                    name=f"serve-batch-{len(self._threads)}")
+                self._threads.append(thread)
+                started.append(thread)
         for thread in started:
             thread.start()
 
@@ -187,10 +178,14 @@ class BatchScheduler:
                 if self._record:
                     self.dispatch_log.append(key)
             error: Optional[BaseException] = None
+            result: Any = None
             try:
-                fn()
+                result = fn()
             except BaseException as exc:       # noqa: BLE001 — carried
                 error = exc                    # to the submitter's wait
+            # an idle worker keeps no reference to the item it last ran
+            # (a manager dropped without close() must stay collectable)
+            fn = None
             with self._cond:
                 self._in_flight -= 1
                 if not self._closed:
@@ -201,7 +196,8 @@ class BatchScheduler:
                     else:
                         del self._queues[key]
                 self._cond.notify_all()         # wake workers + waiters
-            ticket._finish(error)
+            ticket._finish(error, result)
+            ticket = result = error = None
 
     # -- synchronization -----------------------------------------------
 
@@ -241,7 +237,6 @@ class BatchScheduler:
             if self._closed:
                 return
             self._closed = True
-            hold, self._blas = self._blas, None
             stranded = [ticket for queue in self._queues.values()
                         for _, ticket in queue.items]
             self._queues.clear()
@@ -256,5 +251,3 @@ class BatchScheduler:
                 thread.join(timeout=timeout)
         with self._cond:
             self._threads.clear()
-        if hold is not None:
-            hold.release()

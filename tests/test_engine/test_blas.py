@@ -9,8 +9,9 @@ Three contracts:
   rely on this; here it is stated.
 - **Scope.**  Holders are refcounted: BLAS stays at one thread until
   the last holder releases, then the count saved by the first returns.
-  The scheduler holds from ``start()`` to ``close()``, the threaded
-  backend while its pool exists, a sweep worker for its whole life.
+  A serve manager holds from before it forks its hosts until its close
+  (the hosts inherit the count), the threaded backend while its pool
+  exists, a sweep worker for its whole life.
 - **Locator.**  On Linux, a numpy built against OpenBLAS must be found
   and controllable: a renamed export fails here instead of silently
   switching the one-thread rule off.
@@ -40,7 +41,8 @@ from repro.serve.scheduler import BatchScheduler
 from repro.serve.session import AdaptationSession
 
 from tests.test_engine.test_conv_lowering import model_conv_configs
-from tests.test_serve.conftest import make_batches, poison, strip_timing
+from tests.test_serve.conftest import (child_pids, make_batches, poison,
+                                      strip_timing)
 
 needs_blas = pytest.mark.skipif(
     blas_threads() is None,
@@ -52,7 +54,7 @@ needs_blas = pytest.mark.skipif(
 def no_live_holder(monkeypatch):
     """Each test starts with no live holder.  A manager abandoned
     elsewhere in the pytest run (the SIGKILL pattern of the kill-resume
-    tests) keeps its scheduler's hold for good."""
+    tests) keeps its hold until it is garbage-collected."""
     monkeypatch.setattr(blas, "_holders", 0)
     monkeypatch.setattr(blas, "_saved", blas._saved)
 
@@ -109,9 +111,9 @@ def tenant_spec(tenant, seed):
 
 @needs_blas
 def test_served_tenants_match_sessions_at_default_blas_threads():
-    """Two bn_opt+guard tenants served by ``workers=2`` (BLAS held at one
-    thread) end exactly as in-process sessions run at two BLAS threads
-    outside any scope."""
+    """Two bn_opt+guard tenants served by ``workers=2`` hosts (each
+    holding BLAS at one thread) end exactly as in-process sessions run
+    at two BLAS threads outside any scope."""
     specs = [tenant_spec("cam0", 3), tenant_spec("cam1", 4)]
     streams = {spec.tenant: poison(make_batches(5, seed=spec.seed), {2})
                for spec in specs}
@@ -195,40 +197,38 @@ def test_racing_holders_lose_no_update():
 
 
 @needs_blas
-def test_scheduler_holds_from_start_to_close():
+def test_hosts_inherit_one_blas_thread_from_their_manager():
     with blas_at(2):
-        scheduler = BatchScheduler(workers=2, start=False)
-        assert blas_threads() == 2
-        scheduler.start()
-        assert blas_threads() == 1
-        scheduler.start()               # idempotent: no second hold
-        assert blas._holders == 1
-        ran = []
-        assert scheduler.submit("t", lambda: ran.append(
-            blas_threads())).wait(timeout=10.0)
-        assert ran == [1]
-        scheduler.close()
-        assert blas_threads() == 2
+        manager = SessionManager(workers=2)
+        try:
+            # the manager holds from before the fork to its close, and
+            # each host holds for its whole life
+            assert blas_threads() == 1 and blas._holders == 1
+            hosts = manager.status()["hosts"]
+            assert [host["blas_threads"] for host in hosts] == [1, 1]
+        finally:
+            manager.close()
+        assert blas_threads() == 2 and blas._holders == 0
 
 
 @needs_blas
-def test_second_scheduler_close_releases_nothing():
-    with blas_at(2):
-        scheduler = BatchScheduler(workers=2)
-        other = SingleBlasThread()
-        scheduler.close()
-        scheduler.close()
-        assert blas._holders == 1
-        assert blas_threads() == 1
-        other.release()
-        assert blas_threads() == 2
+def test_a_count_already_at_one_is_left_alone(monkeypatch):
+    """Setting the count re-creates OpenBLAS's pool after a fork, so a
+    holder that finds one thread sets nothing, and restores nothing."""
+    get, put = blas._runtime()
+    calls = []
 
+    def recording():
+        return get, lambda count: calls.append(count) or put(count)
 
-@needs_blas
-def test_unstarted_scheduler_close_releases_nothing():
-    with blas_at(2), SingleBlasThread():
-        BatchScheduler(workers=2, start=False).close()
-        assert blas._holders == 1
+    for count, expected in ((1, []), (2, [1, 2])):
+        with blas_at(count):
+            with monkeypatch.context() as patch:
+                patch.setattr(blas, "_runtime", recording)
+                with SingleBlasThread():
+                    assert blas_threads() == 1
+            assert calls == expected
+        calls.clear()
 
 
 @needs_blas
@@ -252,9 +252,12 @@ def test_manager_failing_to_open_its_journal_holds_nothing(tmp_path):
     journal = tmp_path / "serve.jsonl"
     journal.write_text('{"event": "serve_start"}\nnot json\n'
                        '{"event": "serve_start"}\n')
+    threads, children = threading.active_count(), child_pids()
     with pytest.raises(JournalError):
         SessionManager(journal=str(journal), resume=True)
     assert blas._holders == 0
+    assert threading.active_count() == threads
+    assert child_pids() <= children     # both hosts reaped
 
 
 def record_blas_threads(payload, spec):

@@ -121,3 +121,38 @@ def test_data_scenarios_and_serve_import_without_scipy():
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert [name for name in loaded if _is_scipy(name)] == []
+
+
+def _cold_import(module):
+    """Sorted ``repro*`` modules a fresh interpreter loads for ``module``."""
+    script = (f"import json, sys\nimport {module}\n"
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.startswith('repro'))))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_filelock_loads_neither_the_sweep_executor_nor_the_harness():
+    # the pretrain cache takes this lock on a tenant's first hello
+    loaded = _cold_import("repro.parallel.filelock")
+    assert "repro.parallel.filelock" in loaded
+    assert [name for name in loaded
+            if name in ("repro.parallel.worker", "repro.parallel.executor")
+            or name.startswith("repro.core")] == []
+
+
+def test_journal_does_not_load_the_retry_policy():
+    loaded = _cold_import("repro.resilience.journal")
+    assert "repro.resilience.journal" in loaded
+    assert "repro.resilience.retry" not in loaded
+
+
+def test_lazy_package_exports_still_resolve():
+    from repro.parallel import FileLock, ParallelExecutor
+    from repro.resilience import RetryPolicy
+
+    assert ParallelExecutor.__module__ == "repro.parallel.executor"
+    assert FileLock.__module__ == "repro.parallel.filelock"
+    assert RetryPolicy.__module__ == "repro.resilience.retry"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -11,9 +12,32 @@ from repro.engine.blas import blas_threads
 from repro.models.wide_resnet import wide_resnet40_2
 from repro.nn import init as nn_init
 
-#: the ``blas_threads`` a running manager's status reports: its
-#: scheduler holds BLAS at one thread, unless none can be controlled
+#: the ``blas_threads`` a running manager's status reports: each host
+#: holds BLAS at one thread, unless none can be controlled
 HELD_BLAS_THREADS = None if blas_threads() is None else 1
+
+
+def child_pids():
+    """Pids whose parent is this process, zombies included (Linux).
+
+    Compare two readings: a manager must reap every host it started.
+    Without ``/proc`` there is nothing to read, and the set is empty.
+    """
+    if not os.path.isdir("/proc"):
+        return set()
+    me = str(os.getpid())
+    children = set()
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue                    # exited while listing
+        if fields[1] == me:
+            children.add(int(name))
+    return children
 
 
 def make_model(seed: int = 7):

@@ -24,6 +24,7 @@ from repro.serve import protocol
 
 from tests.test_serve.conftest import (
     assert_states_identical,
+    child_pids,
     make_batches,
     poison,
     strip_timing,
@@ -207,13 +208,15 @@ class TestBusyPort:
     def test_cli_reports_a_busy_port_and_releases_the_manager(
             self, busy_port, capsys):
         threads, blas = threading.active_count(), blas_threads()
+        children = child_pids()
         assert main(["serve", "--port", str(busy_port)]) == 1
         err = capsys.readouterr().err
         assert f"error: cannot listen on 127.0.0.1:{busy_port}: " in err
         assert "Traceback" not in err
-        # the manager's scheduler threads joined, its BLAS hold released
+        # the manager's scheduler threads joined, its hosts reaped
         assert threading.active_count() == threads
         assert blas_threads() == blas
+        assert child_pids() <= children
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts open descriptors in /proc/self/fd")

@@ -267,17 +267,23 @@ class TestCheckpointCost:
     """A checkpoint is built only when a journal takes it."""
 
     @pytest.fixture
-    def checkpoints(self, monkeypatch):
-        """``batches_total`` at every ``AdaptationSession.checkpoint``."""
-        calls = []
+    def checkpoints(self, monkeypatch, tmp_path):
+        """``batches_total`` at every ``AdaptationSession.checkpoint``.
+
+        The sessions run in host processes, forked after this patch, so
+        each call is logged to a file and read back from there.
+        """
+        log = tmp_path / "checkpoints.log"
         original = AdaptationSession.checkpoint
 
         def counting(session):
-            calls.append(session.batches_total)
+            with open(log, "a") as handle:
+                handle.write(f"{session.batches_total}\n")
             return original(session)
 
         monkeypatch.setattr(AdaptationSession, "checkpoint", counting)
-        return calls
+        return lambda: [int(line) for line in log.read_text().split()] \
+            if log.exists() else []
 
     def _stream(self, manager, batches):
         manager.open_tenant(spec_for("cam0"))
@@ -291,7 +297,7 @@ class TestCheckpointCost:
             reply = self._stream(manager, 4)
         finally:
             manager.close()
-        assert checkpoints == []
+        assert checkpoints() == []
         assert reply == {"checkpointed": ["cam0"], "skipped": [],
                          "compacted_entries": 0}
 
@@ -303,7 +309,7 @@ class TestCheckpointCost:
             reply = self._stream(manager, 5)
         finally:
             manager.close()
-        assert checkpoints == [2, 4, 5]     # batches 2 and 4, then drain
+        assert checkpoints() == [2, 4, 5]   # batches 2 and 4, then drain
         assert reply["checkpointed"] == ["cam0"]
 
     def test_journal_grows_at_most_32kb_per_batch(self, tmp_path):
