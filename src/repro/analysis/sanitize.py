@@ -18,17 +18,20 @@ Two modes:
   is finite" in tests.
 
 Select it as ``--backend sanitize`` on the CLI (it wraps the reference
-:class:`~repro.engine.numpy_backend.NumpyBackend`).
+:class:`~repro.engine.numpy_backend.NumpyBackend`); ``stream`` and
+``native`` print its findings when they end.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.base import Backend
+from repro.engine.base import KERNELS, Backend, DelegatingBackend
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,88 @@ class NumericFaultError(RuntimeError):
         self.finding = finding
 
 
-class SanitizerBackend(Backend):
+# -- per-kernel contracts ----------------------------------------------
+
+def _window_shape(x_shape, channels, kernel, stride) -> Tuple[int, ...]:
+    """``(N, channels, Ho, Wo)`` of an unpadded window op over ``x_shape``."""
+    n, _, h, w = x_shape
+    (kh, kw), (sh, sw) = kernel, stride
+    return (n, channels, (h - kh) // sh + 1, (w - kw) // sw + 1)
+
+
+def _pooled(x, kernel, stride):
+    return (_window_shape(x.shape, x.shape[1], kernel, stride),)
+
+
+def _conv_channels(xp, weight, stride, groups):
+    expected = weight.shape[1] * groups
+    if expected != xp.shape[1]:
+        return "weight", (f"weight expects {expected} input channels "
+                          f"(groups={groups}) but input has {xp.shape[1]}")
+    return None
+
+
+def _contraction(a, b):
+    if a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] != b.shape[-2]:
+        return "b", f"inner dimensions do not contract: {a.shape} @ {b.shape}"
+    return None
+
+
+class KernelContract(NamedTuple):
+    """One kernel's checks beyond its array arguments.
+
+    The callables take the kernel's arguments.  ``before`` and
+    ``after`` return an ``(argument, detail)`` shape violation or None;
+    they run before and after the inner kernel.
+    """
+
+    #: result names, in order (None: ``out``, or ``out[i]`` for several;
+    #: ``()`` leaves the results unchecked)
+    outputs: Optional[Tuple[str, ...]] = None
+    shapes: Optional[Callable[..., tuple]] = None  #: expected result shapes
+    before: Optional[Callable[..., Optional[Tuple[str, str]]]] = None
+    after: Optional[Callable[..., Optional[Tuple[str, str]]]] = None
+    variance: Optional[str] = None  #: the result that cannot be negative
+
+
+#: kernel name -> contract; a kernel without an entry still has its
+#: array arguments and results checked, under no shape contract
+CONTRACTS: Dict[str, KernelContract] = {
+    "conv2d_forward": KernelContract(
+        shapes=lambda xp, weight, stride, groups: (_window_shape(
+            xp.shape, weight.shape[0], weight.shape[2:], stride),),
+        after=_conv_channels),
+    "conv2d_backward": KernelContract(
+        outputs=("out[d_input]", "out[d_weight]"),
+        shapes=lambda grad, xp, weight, *_: (xp.shape, weight.shape)),
+    "matmul": KernelContract(before=_contraction),
+    "batchnorm_stats": KernelContract(
+        outputs=("out[mean]", "out[var]"),
+        shapes=lambda x: ((x.shape[1],) if x.ndim >= 2 else None,) * 2,
+        variance="out[var]"),
+    # the argmax (second result) is an index array, not a value
+    "max_pool2d_forward": KernelContract(outputs=("out",), shapes=_pooled),
+    "max_pool2d_backward": KernelContract(
+        shapes=lambda grad, arg, x_shape, *_: (tuple(x_shape),)),
+    "avg_pool2d_forward": KernelContract(shapes=_pooled),
+    "avg_pool2d_backward": KernelContract(
+        shapes=lambda grad, x_shape, *_: (tuple(x_shape),)),
+    # the padded copy holds the checked input plus zeros
+    "pad_input": KernelContract(outputs=()),
+}
+
+#: kernel name -> its parameter names on Backend, as findings name them
+_PARAMETERS: Dict[str, Tuple[str, ...]] = {
+    op: tuple(inspect.signature(getattr(Backend, op)).parameters)[1:]
+    for op in KERNELS}
+
+
+class SanitizerBackend(DelegatingBackend):
     """Delegating wrapper that validates every kernel's arrays.
 
+    Each call checks the kernel's array arguments under their parameter
+    names on :class:`~repro.engine.base.Backend`, then the kernel's
+    :data:`CONTRACTS` entry around the inner call, then its results.
     Shares the inner backend's arena (like
     :class:`~repro.engine.instrument.InstrumentedBackend`) and returns
     the inner backend's results unmodified.
@@ -67,13 +149,10 @@ class SanitizerBackend(Backend):
     def __init__(self, inner: Optional[Backend] = None, *,
                  dtype: np.dtype = np.float32, fail_fast: bool = False,
                  max_findings: int = 1000):
-        # No super().__init__(): the wrapper shares the inner arena
-        # rather than owning a second one.
         if inner is None:
             from repro.engine.numpy_backend import NumpyBackend
             inner = NumpyBackend()
-        self.inner = inner
-        self.arena = inner.arena
+        super().__init__(inner)
         self.dtype = np.dtype(dtype)
         self.fail_fast = fail_fast
         self.max_findings = max_findings
@@ -112,7 +191,8 @@ class SanitizerBackend(Backend):
     # -- array validation ----------------------------------------------
     def _check(self, op: str, index: int, argument: str,
                array: np.ndarray,
-               expect_shape: Optional[Tuple[int, ...]] = None) -> None:
+               expect_shape: Optional[Tuple[int, ...]] = None,
+               variance: bool = False) -> None:
         if expect_shape is not None and tuple(array.shape) != expect_shape:
             self._record(op, index, argument, "shape",
                          f"shape {tuple(array.shape)} violates the op "
@@ -136,122 +216,38 @@ class SanitizerBackend(Backend):
                 self._record(op, index, argument, "inf",
                              f"{inf_count} Inf value(s) (first at flat "
                              f"index {first} of shape {tuple(array.shape)})")
-
-    def _enter(self, op: str) -> int:
-        index = self._calls.get(op, 0)
-        self._calls[op] = index + 1
-        return index
-
-    # -- delegated, validated kernels ----------------------------------
-    def conv2d_forward(self, xp, weight, stride, groups):
-        index = self._enter("conv2d_forward")
-        self._check("conv2d_forward", index, "xp", xp)
-        self._check("conv2d_forward", index, "weight", weight)
-        out = self.inner.conv2d_forward(xp, weight, stride, groups)
-        n, c, h, w = xp.shape
-        co, cig, kh, kw = weight.shape
-        sh, sw = stride
-        expected = (n, co, (h - kh) // sh + 1, (w - kw) // sw + 1)
-        if cig * groups != c:
-            self._record("conv2d_forward", index, "weight", "shape",
-                         f"weight expects {cig * groups} input channels "
-                         f"(groups={groups}) but input has {c}")
-        self._check("conv2d_forward", index, "out", out,
-                    expect_shape=expected)
-        return out
-
-    def conv2d_backward(self, grad, xp, weight, stride, groups,
-                        need_input_grad, need_weight_grad):
-        index = self._enter("conv2d_backward")
-        self._check("conv2d_backward", index, "grad", grad)
-        self._check("conv2d_backward", index, "xp", xp)
-        self._check("conv2d_backward", index, "weight", weight)
-        dxp, dw = self.inner.conv2d_backward(
-            grad, xp, weight, stride, groups,
-            need_input_grad, need_weight_grad)
-        if dxp is not None:
-            self._check("conv2d_backward", index, "out[d_input]", dxp,
-                        expect_shape=tuple(xp.shape))
-        if dw is not None:
-            self._check("conv2d_backward", index, "out[d_weight]", dw,
-                        expect_shape=tuple(weight.shape))
-        return dxp, dw
-
-    def matmul(self, a, b):
-        index = self._enter("matmul")
-        self._check("matmul", index, "a", a)
-        self._check("matmul", index, "b", b)
-        if a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] != b.shape[-2]:
-            self._record("matmul", index, "b", "shape",
-                         f"inner dimensions do not contract: "
-                         f"{a.shape} @ {b.shape}")
-        out = self.inner.matmul(a, b)
-        self._check("matmul", index, "out", out)
-        return out
-
-    def batchnorm_stats(self, x):
-        index = self._enter("batchnorm_stats")
-        self._check("batchnorm_stats", index, "x", x)
-        mean, var = self.inner.batchnorm_stats(x)
-        channels = (x.shape[1],) if x.ndim >= 2 else tuple(mean.shape)
-        self._check("batchnorm_stats", index, "out[mean]", mean,
-                    expect_shape=channels)
-        self._check("batchnorm_stats", index, "out[var]", var,
-                    expect_shape=channels)
-        if np.issubdtype(var.dtype, np.floating) and (var < 0).any():
-            self._record("batchnorm_stats", index, "out[var]", "range",
-                         f"{int((var < 0).sum())} negative variance "
+        if variance and (array < 0).any():
+            self._record(op, index, argument, "range",
+                         f"{int((array < 0).sum())} negative variance "
                          "value(s) — numerically impossible for a "
                          "correct reduction")
-        return mean, var
 
-    def max_pool2d_forward(self, x, kernel, stride):
-        index = self._enter("max_pool2d_forward")
-        self._check("max_pool2d_forward", index, "x", x)
-        out, arg = self.inner.max_pool2d_forward(x, kernel, stride)
-        self._check("max_pool2d_forward", index, "out", out,
-                    expect_shape=self._pool_shape(x.shape, kernel, stride))
-        return out, arg
+    def _violation(self, op: str, index: int, check, args) -> None:
+        found = check(*args) if check is not None else None
+        if found is not None:
+            self._record(op, index, found[0], "shape", found[1])
 
-    def max_pool2d_backward(self, grad, arg, x_shape, kernel, stride):
-        index = self._enter("max_pool2d_backward")
-        self._check("max_pool2d_backward", index, "grad", grad)
-        out = self.inner.max_pool2d_backward(grad, arg, x_shape,
-                                             kernel, stride)
-        self._check("max_pool2d_backward", index, "out", out,
-                    expect_shape=tuple(x_shape))
-        return out
-
-    def avg_pool2d_forward(self, x, kernel, stride):
-        index = self._enter("avg_pool2d_forward")
-        self._check("avg_pool2d_forward", index, "x", x)
-        out = self.inner.avg_pool2d_forward(x, kernel, stride)
-        self._check("avg_pool2d_forward", index, "out", out,
-                    expect_shape=self._pool_shape(x.shape, kernel, stride))
-        return out
-
-    def avg_pool2d_backward(self, grad, x_shape, kernel, stride):
-        index = self._enter("avg_pool2d_backward")
-        self._check("avg_pool2d_backward", index, "grad", grad)
-        out = self.inner.avg_pool2d_backward(grad, x_shape, kernel, stride)
-        self._check("avg_pool2d_backward", index, "out", out,
-                    expect_shape=tuple(x_shape))
-        return out
-
-    def pad_input(self, x, ph, pw):
-        index = self._enter("pad_input")
-        self._check("pad_input", index, "x", x)
-        return self.inner.pad_input(x, ph, pw)
-
-    @staticmethod
-    def _pool_shape(x_shape, kernel, stride) -> Tuple[int, ...]:
-        n, c, h, w = x_shape
-        kh, kw = kernel
-        sh, sw = stride
-        return (n, c, (h - kh) // sh + 1, (w - kw) // sw + 1)
-
-    def close(self) -> None:
-        self.inner.close()
+    def _call(self, op: str, fn, *args):
+        index = self._calls.get(op, 0)
+        self._calls[op] = index + 1
+        contract = CONTRACTS.get(op, KernelContract())
+        for argument, value in zip(_PARAMETERS[op], args):
+            if isinstance(value, np.ndarray):
+                self._check(op, index, argument, value)
+        self._violation(op, index, contract.before, args)
+        result = fn(*args)
+        self._violation(op, index, contract.after, args)
+        results = result if isinstance(result, tuple) else (result,)
+        names = contract.outputs
+        if names is None:
+            names = ([f"out[{i}]" for i in range(len(results))]
+                     if len(results) > 1 else ["out"])
+        shapes = contract.shapes(*args) if contract.shapes else repeat(None)
+        for argument, value, shape in zip(names, results, shapes):
+            if value is not None:
+                self._check(op, index, argument, value, shape,
+                            variance=argument == contract.variance)
+        return result
 
     def __repr__(self) -> str:
         return f"SanitizerBackend({self.inner!r}, fail_fast={self.fail_fast})"

@@ -86,7 +86,9 @@ that executes the numpy engine natively; ``sanitize`` wraps the
 reference backend in the numeric sanitizer
 (:class:`~repro.analysis.sanitize.SanitizerBackend`), which validates
 every leaf op's arrays and attributes any NaN/Inf/dtype/shape violation
-to the op where it entered.
+to the op where it entered.  ``stream`` and ``native`` end with its
+report and exit 1 on any finding; ``serve`` and ``native --workers``
+refuse it (exit 2), since their engine work runs in other processes.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ from typing import List, Optional
 from repro.core.config import StudyConfig
 from repro.core.records import StudyResult
 from repro.devices.catalog import DEVICE_NAMES, list_devices
-from repro.engine import BACKEND_NAMES, create_backend, set_default_backend
+from repro.engine import (BACKEND_NAMES, create_backend, get_backend,
+                          set_default_backend)
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -298,11 +301,6 @@ def _cmd_native(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
-    if args.backend == "sanitize" and args.workers:
-        print("error: --backend sanitize requires serial execution "
-              "(worker-local sanitizer findings cannot be surfaced); "
-              "drop --workers", file=sys.stderr)
-        return 2
     config = StudyConfig(
         models=tuple(args.models), methods=tuple(args.methods),
         batch_sizes=tuple(args.batch_sizes),
@@ -314,22 +312,11 @@ def _cmd_native(args: argparse.Namespace) -> int:
         journal=args.journal or "", resume=args.resume,
         max_retries=args.max_retries, cell_timeout=args.cell_timeout,
         workers=args.workers, seed=args.seed)
-    sanitizer = None
-    if config.backend == "sanitize":
-        # build the backend here so its findings survive the run and
-        # can be printed (run_native_study leaves a passed backend open)
-        from repro.analysis import SanitizerBackend
-        sanitizer = SanitizerBackend()
-    try:
-        result = run_native_study(config, per_corruption=args.per_corruption,
-                                  backend=sanitizer)
-    finally:
-        # surface findings and release the shared arena even when the
-        # study dies mid-run — otherwise the fault that killed it is lost
-        if sanitizer is not None:
-            print()
-            print(sanitizer.describe())
-            sanitizer.close()
+    # a sanitized study runs on the sanitizer main() installed, which
+    # reports its findings when the command ends
+    result = run_native_study(
+        config, per_corruption=args.per_corruption,
+        backend=get_backend() if config.backend == "sanitize" else None)
     print(result.to_table(title="Native study grid (measured):"))
     if args.json:
         from repro.core.io import save_json
@@ -339,7 +326,6 @@ def _cmd_native(args: argparse.Namespace) -> int:
         from repro.core.io import save_csv
         save_csv(result, args.csv)
         print(f"wrote {args.csv}")
-    exit_code = 1 if sanitizer is not None and sanitizer.findings else 0
     broken = [r for r in result if r.status != "ok"]
     if broken:
         where = f"; journal: {args.journal}" if args.journal else ""
@@ -347,7 +333,7 @@ def _cmd_native(args: argparse.Namespace) -> int:
               f"({', '.join(sorted({r.status for r in broken}))}){where}",
               file=sys.stderr)
         return 1
-    return exit_code
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1054,14 +1040,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        set_default_backend(create_backend(args.backend,
-                                           threads=args.threads or 0))
-    try:
+    if args.backend is None:
         return args.func(args)
+    # sanitizer findings are printed by this process when the command
+    # ends, so engine work in other processes would be checked unseen
+    if (args.backend == "sanitize" and args.command in ("native", "serve")
+            and args.workers):
+        print(f"error: --backend sanitize requires serial execution "
+              f"(findings from another process cannot be shown), but "
+              f"{args.command} --workers {args.workers} runs the engine "
+              "in other processes", file=sys.stderr)
+        return 2
+    backend = create_backend(args.backend, threads=args.threads or 0)
+    report = (args.backend == "sanitize"
+              and args.command in ("stream", "native"))
+    set_default_backend(backend)
+    try:
+        code = args.func(args)
     finally:
-        if args.backend is not None:
-            set_default_backend(None)
+        set_default_backend(None)
+        if report:
+            # printed even when the command dies mid-run: otherwise the
+            # fault that killed it is lost
+            print(f"\n{backend.describe()}")
+        backend.close()
+    return (code or 1) if report and backend.findings else code
 
 
 if __name__ == "__main__":   # pragma: no cover

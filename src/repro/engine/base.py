@@ -4,7 +4,12 @@ A :class:`Backend` owns the handful of leaf kernels the paper's models
 actually spend their time in — convolution forward/backward, matmul,
 batch-norm statistics, pooling — operating on plain ``numpy.ndarray``
 inputs (the autograd layer in :mod:`repro.tensor` stays backend-agnostic
-and routes its heavy ops through the active backend).
+and routes its heavy ops through the active backend).  A new kernel is
+declared on ``Backend`` and implemented in
+:class:`~repro.engine.numpy_backend.NumpyBackend`, and nowhere else:
+:class:`DelegatingBackend`, the base of the wrappers that observe
+another backend (timing, numeric validation), forwards every kernel
+through one hook.
 
 The active backend is selected with :func:`use_backend`, a thread-local,
 nestable context manager mirroring ``no_grad``::
@@ -23,7 +28,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import threading
-from typing import Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -111,6 +116,62 @@ class Backend(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+#: every kernel a backend dispatches: ``Backend``'s abstract methods in
+#: declaration order, then the workspace kernel ``pad_input``
+KERNELS: Tuple[str, ...] = tuple(
+    name for name, attr in vars(Backend).items()
+    if getattr(attr, "__isabstractmethod__", False)) + ("pad_input",)
+
+
+def _forwarder(op: str) -> Callable[..., Any]:
+    """The ``op`` method of :class:`DelegatingBackend`."""
+
+    def kernel(self: "DelegatingBackend", *args: Any) -> Any:
+        return self._call(op, getattr(self.inner, op), *args)
+
+    kernel.__name__ = op
+    kernel.__qualname__ = f"DelegatingBackend.{op}"
+    kernel.__doc__ = getattr(Backend, op).__doc__
+    return kernel
+
+
+class DelegatingBackend(Backend):
+    """A backend that hands every kernel to an ``inner`` backend.
+
+    Each name in :data:`KERNELS` becomes ``self._call(op, fn, *args)``
+    with ``fn`` the inner backend's kernel, so a wrapper that observes
+    the engine overrides the one :meth:`_call` hook and sees every
+    kernel, including any later declared on :class:`Backend`.  Kernels
+    are forwarded positionally, the way the autograd layer calls them.
+    The wrapper shares the inner backend's arena (so ``arena_stats()``
+    reports the real reuse) and its name.
+    """
+
+    def __init__(self, inner: Backend):
+        # no super().__init__(): the wrapper shares the inner backend's
+        # arena rather than owning a second one
+        self.inner = inner
+        self.arena = inner.arena
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        return self.inner.name
+
+    def _call(self, op: str, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run kernel ``op`` as ``fn(*args)``, ``fn`` being the inner one's."""
+        return fn(*args)
+
+    # generated rather than written out, so that ABCMeta sees every
+    # abstract kernel implemented when it builds the class
+    locals().update({op: _forwarder(op) for op in KERNELS})
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.inner!r})"
 
 
 # ---------------------------------------------------------------------------

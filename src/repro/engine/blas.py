@@ -1,12 +1,13 @@
 """One BLAS thread per engine worker.
 
 numpy's OpenBLAS starts one thread per core for every ``matmul``.  When
-engine work already runs on parallel workers — the serve scheduler's
-threads, :class:`~repro.engine.threaded.ThreadedBackend`'s pool, the
+engine work already runs on parallel workers — the serve daemon's host
+processes, :class:`~repro.engine.threaded.ThreadedBackend`'s pool, the
 sweep's worker processes — each worker's BLAS pool competes with its
 siblings for the same cores.  :class:`SingleBlasThread` holds BLAS at
 one thread while any holder is live: the first holder saves the current
-count and the last one restores it.
+count and the last one restores it.  The serve manager takes its hold
+before it forks the hosts, which inherit the count.
 
 Numerics do not move: OpenBLAS splits a GEMM over blocks of the output,
 never over the K sum, so every element is summed in the same order at

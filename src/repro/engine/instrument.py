@@ -25,7 +25,7 @@ from typing import Dict
 
 
 from repro.engine.arena import ArenaStats
-from repro.engine.base import Backend
+from repro.engine.base import Backend, DelegatingBackend
 
 
 @dataclass
@@ -36,20 +36,18 @@ class OpStat:
     time_s: float = 0.0
 
 
-class InstrumentedBackend(Backend):
+class InstrumentedBackend(DelegatingBackend):
     """Delegating wrapper that counts and times every kernel call."""
 
     def __init__(self, inner: Backend):
-        # Intentionally no super().__init__(): the wrapper shares the
-        # inner backend's arena rather than owning a second one.
-        self.inner = inner
-        self.arena = inner.arena
+        super().__init__(inner)
         self.op_stats: Dict[str, OpStat] = {}
         self._arena_start: ArenaStats = inner.arena_stats()
 
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.inner.name
+    def _call(self, op: str, fn, *args):
+        # every kernel goes through _timed, which subclasses override
+        # (the benchmark's traced backend turns each call into a span)
+        return self._timed(op, fn, *args)
 
     def _timed(self, op: str, fn, *args):
         start = time.perf_counter()
@@ -59,47 +57,6 @@ class InstrumentedBackend(Backend):
         stat.calls += 1
         stat.time_s += elapsed
         return result
-
-    # -- delegated kernels ---------------------------------------------
-    def conv2d_forward(self, xp, weight, stride, groups):
-        return self._timed("conv2d_forward", self.inner.conv2d_forward,
-                           xp, weight, stride, groups)
-
-    def conv2d_backward(self, grad, xp, weight, stride, groups,
-                        need_input_grad, need_weight_grad):
-        return self._timed("conv2d_backward", self.inner.conv2d_backward,
-                           grad, xp, weight, stride, groups,
-                           need_input_grad, need_weight_grad)
-
-    def matmul(self, a, b):
-        return self._timed("matmul", self.inner.matmul, a, b)
-
-    def batchnorm_stats(self, x):
-        return self._timed("batchnorm_stats", self.inner.batchnorm_stats, x)
-
-    def max_pool2d_forward(self, x, kernel, stride):
-        return self._timed("max_pool2d_forward",
-                           self.inner.max_pool2d_forward, x, kernel, stride)
-
-    def max_pool2d_backward(self, grad, arg, x_shape, kernel, stride):
-        return self._timed("max_pool2d_backward",
-                           self.inner.max_pool2d_backward,
-                           grad, arg, x_shape, kernel, stride)
-
-    def avg_pool2d_forward(self, x, kernel, stride):
-        return self._timed("avg_pool2d_forward",
-                           self.inner.avg_pool2d_forward, x, kernel, stride)
-
-    def avg_pool2d_backward(self, grad, x_shape, kernel, stride):
-        return self._timed("avg_pool2d_backward",
-                           self.inner.avg_pool2d_backward,
-                           grad, x_shape, kernel, stride)
-
-    def pad_input(self, x, ph, pw):
-        return self._timed("pad_input", self.inner.pad_input, x, ph, pw)
-
-    def close(self) -> None:
-        self.inner.close()
 
     # -- reporting ------------------------------------------------------
     def reset_stats(self) -> None:
@@ -134,6 +91,3 @@ class InstrumentedBackend(Backend):
             f"{arena.bytes_reused / 1e6:.1f} MB reused, "
             f"{arena.bytes_allocated / 1e6:.1f} MB allocated")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"InstrumentedBackend({self.inner!r})"

@@ -54,7 +54,7 @@ _MODULES = {
               "parse_network_fault_specs"),
     "client": ("ServeClient", "ServeDisconnectedError", "ServeError",
                "ServeTimeoutError"),
-    "daemon": ("ServeDaemon", "serve"),
+    "daemon": ("ServeDaemon",),
     "host": ("HostError",),
     "loadgen": ("ARRIVAL_KINDS", "ArrivalSpec", "TenantLoad",
                 "parse_arrival_spec", "run_loadgen", "run_serving_bench"),

@@ -41,7 +41,8 @@ chaos-proxy suites; the event loop preserves every contract):
 - shutdown drains: stop accepting, finish in-flight batches,
   checkpoint every tenant, compact the journal, then exit — and the
   helper thread that stops the serve loop is joined in :meth:`close`,
-  so the listening socket is provably gone when :func:`serve` returns;
+  so the listening socket is provably gone when ``close()`` returns
+  (``repro serve`` runs ``serve_forever``, the drain, then ``close``);
 - idle tenants are evicted with a checkpoint (``idle_evict_s``) from
   the loop's housekeeping tick, keeping resident model memory
   proportional to *active* tenants.
@@ -568,7 +569,7 @@ class ServeDaemon:
         joins so nothing is fire-and-forget.  ``drain`` marks the
         daemon draining (new hellos and frames are refused) and asks
         the owner of the serve loop to run :meth:`drain` before
-        closing, which is exactly what :func:`serve` does.
+        closing, which is exactly what ``repro serve`` does.
         """
         self.draining = self.draining or drain
         self.drain_requested = self.drain_requested or drain
@@ -631,27 +632,3 @@ class ServeDaemon:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def serve(manager: SessionManager, host: str = "127.0.0.1",
-          port: int = 0, *, io_timeout: float = 30.0,
-          idle_evict_s: float = 0.0,
-          drain_timeout: Optional[float] = 10.0) -> None:
-    """Run a daemon until a client asks it to shut down (CLI entry).
-
-    A drain-flavoured ``shutdown`` (the default) checkpoints every
-    tenant and compacts the journal before this function returns —
-    the process exits only after the drain completed and the listening
-    socket is closed.
-    """
-    daemon = ServeDaemon(manager, host, port, io_timeout=io_timeout,
-                         idle_evict_s=idle_evict_s)
-    drained = False
-    try:
-        _log.info("repro serve listening on %s:%d", *daemon.address)
-        daemon.serve_forever()
-        if daemon.drain_requested:
-            daemon.drain(drain_timeout)
-            drained = True
-    finally:
-        daemon.close(close_tenants=not drained)

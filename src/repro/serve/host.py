@@ -46,7 +46,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine import use_backend
-from repro.engine.blas import SingleBlasThread, blas_threads
+from repro.engine.blas import blas_threads
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.session import AdaptationSession
 
@@ -240,10 +240,10 @@ def _serve(channel: Channel, make_backend: Callable[[], Any]) -> int:
     """The host's life: answer requests until the front goes away."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     sessions: Dict[str, AdaptationSession] = {}
-    # one BLAS thread for the host's whole life: the hosts are the
-    # parallelism, and a BLAS pool per host only oversubscribes cores.
-    # The count comes inherited from the front, so this sets nothing
-    with SingleBlasThread(), use_backend(make_backend()):
+    # the host runs on one BLAS thread without setting it: it inherits
+    # the count from the front's hold across the fork (the hosts are the
+    # parallelism, and a BLAS pool per host only oversubscribes cores)
+    with use_backend(make_backend()):
         channel.send(blas_threads())
         while True:
             try:

@@ -72,7 +72,8 @@ class FrameTooLargeError(ProtocolError):
 
     Raised *before* any payload byte is read, so the payload is still
     on the wire: a receiver that wants to keep the connection up must
-    :func:`drain_frame` the declared length first (the daemon does).
+    read and discard the declared length first (the daemon's event loop
+    skips it as it streams in).
     """
 
     def __init__(self, length: int, limit: int) -> None:
@@ -145,24 +146,6 @@ def recv_message(sock: socket.socket,
     if not isinstance(message, dict) or "type" not in message:
         raise PayloadError("message must be a JSON object with a 'type'")
     return message
-
-
-def drain_frame(sock: socket.socket, length: int,
-                chunk_bytes: int = 1 << 16) -> int:
-    """Read and discard exactly ``length`` payload bytes.
-
-    Used after :class:`FrameTooLargeError` to consume the refused
-    frame so the connection's framing stays intact (the caller's read
-    deadline bounds how long a slow or lying sender can stall this).
-    Raises :class:`ProtocolError` if the peer hangs up mid-frame.
-    """
-    remaining = length
-    while remaining:
-        data = sock.recv(min(remaining, chunk_bytes))
-        if not data:
-            raise ProtocolError("connection closed mid-message")
-        remaining -= len(data)
-    return length
 
 
 def scorecard_to_dict(card: StreamScorecard) -> dict:

@@ -4,10 +4,9 @@ PR 8's manager processed batches inline inside ``ingest``, under the
 calling tenant's lock: correct, but one hot tenant's backlog ran on the
 connection handler's thread while every other tenant's work waited for
 a thread of its own.  :class:`BatchScheduler` decouples *who asks* from
-*who runs*: ingest enqueues carved batches as keyed work items and a
-small shared worker pool dispatches them — so frames from many tenants
-coalesce into shared backend dispatches instead of one lock-serialized
-stream per connection thread.
+*who runs*: ingest enqueues carved batches as keyed work items and the
+scheduler's workers dispatch them in a fair order, so no connection
+thread runs another tenant's backlog.
 
 Two invariants make the scheduler safe to put under the bit-identity
 contract (kill-resume, chaos twins):
@@ -27,9 +26,10 @@ a client sees is therefore still synchronous (`batches_done` reflects
 every batch of the chunk), only the execution is pooled.
 
 The serve manager runs one single-worker scheduler per host process
-(:mod:`repro.serve.host`): the worker is the only thread that talks to
-its host, so a host sees one request at a time in per-tenant FIFO order,
-and the worker waits on the host's socket with the GIL released.
+(:mod:`repro.serve.host`): the hosts are the parallelism.  The worker is
+the only thread that talks to its host, so a host sees one request at a
+time in per-tenant FIFO order, and the worker waits on the host's socket
+with the GIL released.
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ class BatchScheduler:
     Parameters
     ----------
     workers:
-        Worker thread count — the cross-tenant parallelism.  Workers
-        are daemon threads so an abandoned manager (the SIGKILL test
-        pattern ``del manager``) never blocks interpreter exit.
+        Worker thread count (the serve manager uses one per host
+        process).  Workers are daemon threads so an abandoned manager
+        (the SIGKILL test pattern ``del manager``) never blocks
+        interpreter exit.
     record_dispatches:
         Keep an ordered log of dispatched keys in :attr:`dispatch_log`
         (tests assert fairness on it; off by default to stay O(1)).

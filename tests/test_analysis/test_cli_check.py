@@ -1,6 +1,7 @@
 """``repro check`` CLI: exit-code contract (0/1/2), formats, baselines."""
 
 import json
+import socket
 import textwrap
 
 import pytest
@@ -175,3 +176,31 @@ class TestSanitizeBackendFlag:
         assert main(["--backend", "sanitize", "native",
                      "--workers", "2"]) == 2
         assert "serial" in capsys.readouterr().err
+
+    STREAM = ["--backend", "sanitize", "stream", "--method", "bn_norm",
+              "--frames", "32", "--batch-size", "16"]
+
+    def test_faulted_stream_prints_findings_and_exits_1(self, capsys):
+        assert main(self.STREAM + ["--faults", "nan@0"]) == 1
+        out = capsys.readouterr().out
+        assert "pad_input[call 0] x: nan" in out
+        assert "sanitizer: 6 finding(s)" in out
+
+    def test_clean_stream_reports_clean(self, capsys):
+        assert main(self.STREAM) == 0
+        assert "sanitizer: clean (no findings)" in capsys.readouterr().out
+
+    def test_serve_is_usage_error(self, capsys):
+        # a held port: were the refusal missing, serve would fail to
+        # bind (exit 1) rather than listen forever
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = str(holder.getsockname()[1])
+            assert main(["--backend", "sanitize", "serve",
+                         "--port", port]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "another process" in lines[0]

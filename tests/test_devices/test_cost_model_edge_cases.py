@@ -55,7 +55,13 @@ class TestNativeCrossCheck:
         summary = summarize(model, input_shape=(3, 16, 16), name="tiny-wrn")
         x = np.random.default_rng(0).standard_normal(
             (16, 3, 16, 16)).astype(np.float32)
-        native = profile_native(model, x, loss_fn=F.entropy_loss)
+        # steady state: the warm-up pays first-call costs, which land in
+        # the forward pass alone, and the fastest of five profiles is the
+        # one least disturbed by other load on the host
+        profile_native(model, x, loss_fn=F.entropy_loss)
+        native = min((profile_native(model, x, loss_fn=F.entropy_loss)
+                      for _ in range(5)),
+                     key=lambda run: run.total_forward_s + run.backward_s)
         simulated = forward_latency(summary, 16, device_info("rpi4"),
                                     adapts_bn_stats=True, does_backward=True)
         return native, simulated

@@ -242,7 +242,7 @@ class TestDrain:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert daemon.drain_requested
-        summary = daemon.drain(5.0)             # the serve()/CLI epilogue
+        summary = daemon.drain(5.0)             # the CLI epilogue
         assert sorted(summary["checkpointed"]) == ["cam0", "cam1"]
         assert summary["skipped"] == []
         daemon.close(close_tenants=False)
