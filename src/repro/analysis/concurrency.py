@@ -1,8 +1,9 @@
 """Concurrency-discipline rules (REP008–REP012).
 
 The serve stack is the most heavily threaded code in the repo — a
-selectors event loop, the cross-tenant ``BatchScheduler`` worker pool,
-``SessionManager`` with three locks, the chaos proxy — and the hazards
+selectors event loop and its dispatcher pool, one ``BatchScheduler``
+worker per host process, ``SessionManager`` with three locks, the chaos
+proxy — and the hazards
 that kill long-lived servers (lock-order inversions, blocking calls
 under a held lock, unguarded shared-state mutation) are invisible to
 generic linters.  These rules encode the repo's lock discipline:

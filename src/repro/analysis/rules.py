@@ -26,10 +26,10 @@ The catalog (code — invariant protected):
 - REP004 — mutable default arguments: shared-across-calls state is
   exactly the hidden coupling the resilience layer exists to avoid.
 - REP005 — writes to module-level mutable globals outside a lock: the
-  engine is multi-threaded (watchdog threads, ThreadedBackend,
-  concurrent sweeps), so module-global mutation must happen inside a
-  ``with <lock>:`` block (or through a designated accessor object,
-  which mutates attributes, not module globals).
+  process is multi-threaded (watchdog threads, the serve daemon's
+  dispatcher and scheduler threads), so module-global mutation must
+  happen inside a ``with <lock>:`` block (or through a designated
+  accessor object, which mutates attributes, not module globals).
 - REP006 — error-swallowing exception handlers: a bare ``except:`` or
   an ``except Exception:`` whose body is only ``pass``/``continue``
   hides exactly the failures the journal exists to record.
@@ -252,11 +252,11 @@ _MUTATORS = frozenset({"append", "add", "update", "clear", "pop", "popitem",
 class GlobalMutationRule(Rule):
     code = "REP005"
     name = "global-mutation"
-    rationale = ("watchdog threads, ThreadedBackend and concurrent sweeps "
-                 "share module state; module-global mutation must sit "
-                 "inside a `with <lock>:` block or behind a dedicated "
-                 "accessor object (use_backend / no_grad / caches "
-                 "exposing clear())")
+    rationale = ("watchdog threads and the serve daemon's dispatcher and "
+                 "scheduler threads share module state; module-global "
+                 "mutation must sit inside a `with <lock>:` block or "
+                 "behind a dedicated accessor object (use_backend / "
+                 "no_grad / caches exposing clear())")
     runs_on_tests = False
 
     def begin_module(self) -> None:

@@ -80,15 +80,17 @@ Commands
     codes follow the CLI convention: 0 clean, 1 findings, 2 usage
     error.
 
-Global flags ``--backend {numpy,threaded,sanitize}`` and ``--threads N``
-select the execution backend (see :mod:`repro.engine`) for any command
-that executes the numpy engine natively; ``sanitize`` wraps the
-reference backend in the numeric sanitizer
-(:class:`~repro.analysis.sanitize.SanitizerBackend`), which validates
-every leaf op's arrays and attributes any NaN/Inf/dtype/shape violation
-to the op where it entered.  ``stream`` and ``native`` end with its
-report and exit 1 on any finding; ``serve`` and ``native --workers``
-refuse it (exit 2), since their engine work runs in other processes.
+The global flag ``--backend {numpy,sanitize}`` selects the execution
+backend (see :mod:`repro.engine`) for any command that executes the
+numpy engine natively; ``sanitize`` wraps the reference backend in the
+numeric sanitizer (:class:`~repro.analysis.sanitize.SanitizerBackend`),
+which validates every leaf op's arrays and attributes any
+NaN/Inf/dtype/shape violation to the op where it entered.  ``stream``
+and ``native`` end with its report and exit 1 on any finding;
+``serve``, ``serve-bench`` and ``native --workers`` refuse it (exit 2),
+since their engine work runs in other processes.  ``bench`` refuses any
+global ``--backend``: it names the backends it times with
+``--backends``.
 """
 
 from __future__ import annotations
@@ -308,10 +310,9 @@ def _cmd_native(args: argparse.Namespace) -> int:
         stream_samples=args.samples, train_epochs=args.train_epochs,
         faults=args.faults or "", guard=args.guard,
         scenario=args.scenario or "",
-        backend=args.backend or "numpy", threads=args.threads or 0,
-        journal=args.journal or "", resume=args.resume,
-        max_retries=args.max_retries, cell_timeout=args.cell_timeout,
-        workers=args.workers, seed=args.seed)
+        backend=args.backend or "numpy", journal=args.journal or "",
+        resume=args.resume, max_retries=args.max_retries,
+        cell_timeout=args.cell_timeout, workers=args.workers, seed=args.seed)
     # a sanitized study runs on the sanitizer main() installed, which
     # reports its findings when the command ends
     result = run_native_study(
@@ -351,7 +352,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         manager = SessionManager(
             journal=args.journal or None, resume=args.resume,
-            backend=args.backend or "numpy", max_tenants=args.max_tenants,
+            max_tenants=args.max_tenants,
             checkpoint_every=args.checkpoint_every,
             compact_above=args.compact_above, workers=args.workers)
         try:
@@ -571,7 +572,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     backends = tuple(args.backends) if args.backends else BACKEND_NAMES
     doc = write_engine_bench(
         args.json or DEFAULT_BENCH_PATH, backends=backends,
-        threads=args.threads or 0, batch=args.batch, repeats=args.repeats,
+        batch=args.batch, repeats=args.repeats,
         sweep=not args.no_sweep, sweep_workers=args.workers,
         serving=args.serving, serving_tenants=args.serving_tenants,
         serving_frames=args.serving_frames)
@@ -678,10 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "DNN Adaptation on Edge Devices' (ISPASS 2022)")
     parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                         help="execution backend for native engine work")
-    parser.add_argument("--threads", type=_non_negative_int, default=None,
-                        metavar="N",
-                        help="worker threads for the threaded backend "
-                             "(0 = one per CPU core)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("models", help="model zoo footprints").set_defaults(
@@ -1042,16 +1039,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.backend is None:
         return args.func(args)
+    if args.command == "bench":
+        print(f"error: bench takes its backends from --backends, not the "
+              f"global --backend; use 'bench --backends {args.backend}'",
+              file=sys.stderr)
+        return 2
     # sanitizer findings are printed by this process when the command
     # ends, so engine work in other processes would be checked unseen
-    if (args.backend == "sanitize" and args.command in ("native", "serve")
+    if (args.backend == "sanitize"
+            and args.command in ("native", "serve", "serve-bench")
             and args.workers):
         print(f"error: --backend sanitize requires serial execution "
               f"(findings from another process cannot be shown), but "
               f"{args.command} --workers {args.workers} runs the engine "
               "in other processes", file=sys.stderr)
         return 2
-    backend = create_backend(args.backend, threads=args.threads or 0)
+    backend = create_backend(args.backend)
     report = (args.backend == "sanitize"
               and args.command in ("stream", "native"))
     set_default_backend(backend)

@@ -66,11 +66,9 @@ class StudyConfig:
     #: extra constructor kwargs per method name for the native runner
     #: (e.g. {"bn_norm_blend": {"source_count": 8}})
     method_kwargs: dict = field(default_factory=dict)
-    #: execution backend for native runs ("numpy" or "threaded"); see
+    #: execution backend for native runs ("numpy" or "sanitize"); see
     #: :mod:`repro.engine`.  Ignored by the simulated runner.
     backend: str = "numpy"
-    #: worker threads for the threaded backend (0 = one per CPU core)
-    threads: int = 0
     #: fault-injection spec for native streams ("" = clean), e.g.
     #: "nan:0.1,constant@3"; see :mod:`repro.robustness.faults`
     faults: str = ""
@@ -97,7 +95,7 @@ class StudyConfig:
     #: worker *processes* for the native grid (:mod:`repro.parallel`);
     #: 0 = serial in-process execution via the ResilientExecutor.  A
     #: wall-clock-only knob: it never changes the measured records, so
-    #: (like ``threads``) it is excluded from the resume fingerprint —
+    #: it is excluded from the resume fingerprint —
     #: a journal written serially can be resumed with workers and vice
     #: versa.
     workers: int = 0

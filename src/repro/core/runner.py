@@ -142,8 +142,7 @@ def run_native_study(config: Optional[StudyConfig] = None,
     emitted alongside each aggregate record (its ``corruption`` field set),
     enabling mCE-style analysis via :mod:`repro.core.metrics`.
 
-    Execution runs on the backend named by ``config.backend`` (with
-    ``config.threads`` workers for the threaded backend); every record's
+    Execution runs on the backend named by ``config.backend``; every record's
     ``backend`` field says which engine produced it.  For serial runs a
     pre-built ``backend`` instance may be passed instead: it is used
     as-is and left open, so the caller can inspect it afterwards — how
@@ -194,7 +193,7 @@ def run_native_study(config: Optional[StudyConfig] = None,
     # and stays open; an engine-built one is owned and closed here.
     owns_backend = backend is None
     if backend is None:
-        backend = create_backend(config.backend, threads=config.threads)
+        backend = create_backend(config.backend)
     try:
         with use_backend(backend):
             return _run_native_study(config, backend, models,
@@ -210,7 +209,7 @@ def _config_fingerprint(config: StudyConfig, backend_name: str,
 
     Stamped into the run journal's ``run_start`` entry; a resume under a
     different fingerprint is refused rather than silently merging
-    incomparable measurements.  Wall-clock-only knobs (threads, journal
+    incomparable measurements.  Wall-clock-only knobs (workers, journal
     placement, retry policy) are deliberately excluded.
     """
     payload = {
@@ -337,8 +336,7 @@ def _native_cell_worker(payload: dict, spec: CellSpec
     context = _WORKER_CONTEXT.get(payload["fingerprint"])
     if context is None:
         context = {
-            "backend": create_backend(config.backend,
-                                      threads=config.threads),
+            "backend": create_backend(config.backend),
             "streams": _build_streams(config, payload["specs"]["scenario"]),
             "models": dict(payload.get("models") or {}),
         }
@@ -367,7 +365,7 @@ def _run_native_study_parallel(config: StudyConfig,
     """Drive the native grid across ``config.workers`` processes."""
     from repro.parallel import ParallelExecutor
 
-    probe = create_backend(config.backend, threads=1)
+    probe = create_backend(config.backend)
     backend_name = probe.name
     probe.close()
     fingerprint = _config_fingerprint(config, backend_name, per_corruption)

@@ -12,22 +12,21 @@ through the active :class:`~repro.engine.base.Backend`:
   :class:`~repro.engine.arena.WorkspaceArena` that reuses the padded
   input, im2col and col2im scratch buffers across calls instead of
   reallocating.
-- :class:`~repro.engine.threaded.ThreadedBackend` — shards the batch
-  dimension over a thread pool (numpy releases the GIL in BLAS and its
-  copy loops) with a deterministic weight-gradient reduction order.
-- :class:`~repro.engine.instrument.InstrumentedBackend` — wraps either,
+- :class:`~repro.engine.instrument.InstrumentedBackend` — wraps it,
   counting calls, bytes allocated/reused, and per-kernel time for the
   native profiler.
 
 Select a backend with the thread-local, nestable context manager::
 
-    from repro.engine import ThreadedBackend, use_backend
+    from repro.engine import InstrumentedBackend, NumpyBackend, use_backend
 
-    with use_backend(ThreadedBackend(threads=4)):
+    with use_backend(InstrumentedBackend(NumpyBackend())):
         study = run_native_study(config)
 
-or process-wide via ``set_default_backend`` / the CLI's ``--backend`` /
-``--threads`` flags.
+or process-wide via ``set_default_backend`` / the CLI's ``--backend``
+flag.  Parallelism lives a layer up, in processes: the serve daemon's
+hosts and the sweep's workers each run one backend on one BLAS thread
+(:mod:`repro.engine.blas`).
 """
 
 from __future__ import annotations
@@ -42,14 +41,13 @@ from repro.engine.base import (
 )
 from repro.engine.instrument import InstrumentedBackend, OpStat
 from repro.engine.numpy_backend import NumpyBackend
-from repro.engine.threaded import ThreadedBackend
 
 #: names accepted by :func:`create_backend` and the CLI ``--backend`` flag
-BACKEND_NAMES = ("numpy", "threaded", "sanitize")
+BACKEND_NAMES = ("numpy", "sanitize")
 
 
-def create_backend(name: str, threads: int = 0) -> Backend:
-    """Build a backend by CLI name (``threads`` only affects "threaded").
+def create_backend(name: str) -> Backend:
+    """Build a backend by CLI name.
 
     ``"sanitize"`` wraps the reference NumpyBackend in the numeric
     sanitizer (:class:`~repro.analysis.sanitize.SanitizerBackend`),
@@ -57,8 +55,6 @@ def create_backend(name: str, threads: int = 0) -> Backend:
     """
     if name == "numpy":
         return NumpyBackend()
-    if name == "threaded":
-        return ThreadedBackend(threads=threads)
     if name == "sanitize":
         # imported lazily: repro.analysis imports repro.engine.base, so
         # a top-level import here would tie the packages in a cycle
@@ -73,7 +69,6 @@ __all__ = [
     "WorkspaceArena",
     "Backend",
     "NumpyBackend",
-    "ThreadedBackend",
     "InstrumentedBackend",
     "OpStat",
     "BACKEND_NAMES",

@@ -14,8 +14,8 @@ through one hook.
 The active backend is selected with :func:`use_backend`, a thread-local,
 nestable context manager mirroring ``no_grad``::
 
-    with use_backend(ThreadedBackend(threads=4)):
-        logits = model(x)          # conv/matmul shard the batch
+    with use_backend(InstrumentedBackend(NumpyBackend())):
+        logits = model(x)          # conv/matmul are timed
         loss.backward()            # backward uses the same backend
 
 An op's backward closure captures the backend that produced its forward
@@ -111,7 +111,7 @@ class Backend(abc.ABC):
         return self.arena.stats()
 
     def close(self) -> None:
-        """Release pooled workspaces and any worker threads."""
+        """Release pooled workspaces."""
         self.arena.clear()
 
     def __repr__(self) -> str:

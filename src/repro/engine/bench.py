@@ -174,8 +174,7 @@ def _bench_sweep(workers: int, seed: int) -> dict:
     return section
 
 
-def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
-                     threads: int = 0,
+def run_engine_bench(backends: Sequence[str] = ("numpy",),
                      batch: int = 64,
                      channels: int = 16,
                      size: int = 16,
@@ -199,7 +198,7 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
     """
     results: Dict[str, dict] = {}
     for name in backends:
-        backend = create_backend(name, threads=threads)
+        backend = create_backend(name)
         try:
             entry: dict = dict(_bench_conv(backend, batch, channels, size,
                                            repeats, seed))
@@ -213,8 +212,6 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
                 "bytes_allocated": stats.bytes_allocated,
                 "bytes_reused": stats.bytes_reused,
             }
-            if isinstance(getattr(backend, "threads", None), int):
-                entry["threads"] = backend.threads
             results[name] = entry
         finally:
             backend.close()
@@ -232,14 +229,6 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
         },
         "backends": results,
     }
-    # a one-thread threaded backend never shards: its ratio is overhead
-    threaded = results.get("threaded", {})
-    if "numpy" in results and threaded.get("threads", 1) > 1:
-        doc["speedup_threaded_vs_numpy"] = {
-            op: results["numpy"][op]["best_s"] / threaded[op]["best_s"]
-            for op in ("conv_forward", "conv_backward", "bn_opt_step")
-            if threaded[op]["best_s"] > 0
-        }
     if sweep:
         doc["sweep"] = _bench_sweep(sweep_workers or os.cpu_count() or 1,
                                     seed)
@@ -271,20 +260,12 @@ def format_engine_bench(doc: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for name, entry in doc["backends"].items():
-        label = name
-        if "threads" in entry:
-            label = f"{name}[{entry['threads']}]"
         lines.append(
-            f"{label:<12s} {entry['conv_forward']['best_s'] * 1e3:9.2f}ms "
+            f"{name:<12s} {entry['conv_forward']['best_s'] * 1e3:9.2f}ms "
             f"{entry['conv_backward']['best_s'] * 1e3:9.2f}ms "
             f"{entry['bn_opt_step']['best_s'] * 1e3:9.2f}ms"
             + (f"  arena {100 * entry['arena']['hit_rate']:.0f}% hit"
                if entry.get("arena", {}).get("requests") else ""))
-    speedups = doc.get("speedup_threaded_vs_numpy")
-    if speedups:
-        rendered = ", ".join(f"{op} x{ratio:.2f}"
-                             for op, ratio in speedups.items())
-        lines.append(f"threaded speedup vs numpy: {rendered}")
     sweep = doc.get("sweep")
     if sweep:
         speedup = sweep.get("speedup_parallel_vs_serial")

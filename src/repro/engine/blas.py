@@ -1,13 +1,13 @@
-"""One BLAS thread per engine worker.
+"""One BLAS thread per engine worker process.
 
 numpy's OpenBLAS starts one thread per core for every ``matmul``.  When
-engine work already runs on parallel workers — the serve daemon's host
-processes, :class:`~repro.engine.threaded.ThreadedBackend`'s pool, the
-sweep's worker processes — each worker's BLAS pool competes with its
-siblings for the same cores.  :class:`SingleBlasThread` holds BLAS at
-one thread while any holder is live: the first holder saves the current
-count and the last one restores it.  The serve manager takes its hold
-before it forks the hosts, which inherit the count.
+engine work already runs in parallel worker processes — the serve
+daemon's hosts, the sweep's workers — each worker's BLAS pool competes
+with its siblings for the same cores.  :func:`set_one_blas_thread` sets
+BLAS to one thread for the rest of the process's life; nothing restores
+the old count.  The serve manager calls it before it forks the hosts,
+which inherit the count, and each sweep worker calls it at start.
+Single-process paths never call it and keep OpenBLAS's default.
 
 Numerics do not move: OpenBLAS splits a GEMM over blocks of the output,
 never over the K sum, so every element is summed in the same order at
@@ -20,20 +20,18 @@ process that forks workers sets one thread *before* the fork, and the
 children inherit it (:mod:`repro.serve.host`).
 
 The runtime is found by reading ``/proc/self/maps`` once per process;
-where nothing controllable is loaded (MKL, Accelerate, non-Linux) every
-entry point is a no-op and :func:`blas_threads` reports ``None``.
+where nothing controllable is loaded (MKL, Accelerate, non-Linux) both
+functions are no-ops and :func:`blas_threads` reports ``None``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import os
 import sys
-import threading
 from typing import Any, Optional, Tuple
 
-__all__ = ["SingleBlasThread", "blas_threads"]
+__all__ = ["blas_threads", "set_one_blas_thread"]
 
 #: (getter, setter) export names, tried in order on each OpenBLAS found
 _SPELLINGS = (
@@ -43,24 +41,6 @@ _SPELLINGS = (
 )
 
 _Runtime = Tuple[Any, Any]          # ctypes (get, set) functions
-
-_lock = threading.Lock()
-_holders = 0
-_saved = 0
-
-
-def _forget_holders() -> None:
-    # a forked child keeps only the forking thread: a lock another
-    # thread held at the fork would never be released there, and the
-    # parent's holders stay with the parent
-    global _holders
-    _lock._at_fork_reinit()
-    with _lock:
-        _holders = 0
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_holders)
 
 
 def _locate() -> Optional[_Runtime]:
@@ -101,38 +81,8 @@ def blas_threads() -> Optional[int]:
     return None if runtime is None else int(runtime[0]())
 
 
-class SingleBlasThread:
-    """One holder of the one-thread scope; :meth:`release` is idempotent.
-
-    Use it as a context manager, or hold it across calls and release it
-    from a ``close``.  With no controllable BLAS loaded it holds nothing.
-    """
-
-    def __init__(self) -> None:
-        global _holders, _saved
-        self._runtime = _runtime()
-        if self._runtime is None:
-            return
-        get, put = self._runtime
-        with _lock:
-            if _holders == 0:
-                _saved = int(get())
-                if _saved != 1:
-                    put(1)
-            _holders += 1
-
-    def release(self) -> None:
-        global _holders
-        with _lock:
-            runtime, self._runtime = self._runtime, None
-            if runtime is None:
-                return
-            _holders -= 1
-            if _holders == 0 and _saved != 1:
-                runtime[1](_saved)
-
-    def __enter__(self) -> "SingleBlasThread":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
+def set_one_blas_thread() -> None:
+    """Hold OpenBLAS at one thread from now on (idempotent)."""
+    runtime = _runtime()
+    if runtime is not None and runtime[0]() != 1:
+        runtime[1](1)

@@ -58,6 +58,10 @@ _POLL_S = 0.2
 #: in-flight cell is declared crashed (lets late queue flushes land)
 _DEATH_STRIKES = 2
 
+#: how workers start: ``spawn`` is the one method that behaves the same
+#: on every platform and is safe under a threaded parent
+_START_METHOD = "spawn"
+
 
 class WorkerCrashError(RuntimeError):
     """A worker process died without settling its in-flight cell."""
@@ -73,17 +77,13 @@ class ParallelExecutor:
     workers:
         Number of worker processes (>= 1).  The pool never exceeds the
         number of pending cells.
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` (the default) is the
-        only one that is identical across platforms and safe with
-        threaded parents.
     """
 
     def __init__(self, journal: Optional[RunJournal] = None, *,
                  workers: int = 2, resume: bool = False,
                  max_retries: int = 0, cell_timeout: float = 0.0,
                  backoff_base: float = 0.05, seed: int = 0,
-                 fingerprint: str = "", start_method: str = "spawn") -> None:
+                 fingerprint: str = "") -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -93,7 +93,6 @@ class ParallelExecutor:
         self.journal = journal
         self.resume = resume
         self.fingerprint = fingerprint
-        self.start_method = start_method
         self.stats = ExecutorStats()
         self._completed = recover_completed(journal, fingerprint) \
             if (journal and resume) else {}
@@ -130,7 +129,7 @@ class ParallelExecutor:
     def _drive(self, tasks: Sequence[CellTask], payload: Any,
                outcomes: Dict[str, List[dict]],
                failures: Dict[str, Tuple[int, str]]) -> None:
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context(_START_METHOD)
         task_queue = ctx.Queue()
         # SimpleQueue: puts are synchronous pipe writes under a lock, so
         # a worker death cannot lose events it already emitted (a

@@ -23,7 +23,7 @@ expected to use its own seeded generators (the native runner does), but
 the reseed makes any stray ``np.random`` use deterministic per cell
 rather than dependent on which worker picked the cell up.
 
-A worker holds BLAS at one thread for its whole life
+A worker sets BLAS to one thread when it starts
 (:mod:`repro.engine.blas`): the worker processes are the sweep's
 parallelism, and a per-core BLAS pool in each would oversubscribe the
 cores they share.
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.records import MeasurementRecord
 from repro.core.executor import CellSpec, run_cell_attempts
-from repro.engine.blas import SingleBlasThread
+from repro.engine.blas import set_one_blas_thread
 from repro.resilience.retry import RetryPolicy
 
 #: a cell runner: module-level callable of (payload, spec) -> records
@@ -73,7 +73,7 @@ def worker_main(worker_id: int, task_queue, event_queue,
         event_queue.put({**entry, "worker": worker_id})
 
     emit({"event": "worker_start"})
-    blas = SingleBlasThread()
+    set_one_blas_thread()
     try:
         while True:
             task = task_queue.get()
@@ -97,5 +97,4 @@ def worker_main(worker_id: int, task_queue, event_queue,
               "traceback": traceback.format_exc()})
         raise
     finally:
-        blas.release()
         emit({"event": "worker_exit"})

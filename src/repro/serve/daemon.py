@@ -78,6 +78,10 @@ _RECV_BYTES = 1 << 16
 #: last reply before the deadline sweep hard-closes it
 _CLOSE_GRACE_S = 5.0
 
+#: dispatcher pool size: how many connections' messages are *handled*
+#: at once (batches themselves run one layer down, in the host processes)
+_DISPATCH_WORKERS = 8
+
 
 class _Connection:
     """Per-connection state, owned by the event-loop thread.
@@ -137,23 +141,17 @@ class ServeDaemon:
     max_message_bytes:
         Frame-size cap (tests shrink it to exercise the
         oversized-frame reply).
-    dispatch_workers:
-        Dispatcher pool size — how many connections' messages can be
-        *handled* concurrently (batches themselves run one layer
-        down, in the manager's host processes).
     """
 
     def __init__(self, manager: SessionManager, host: str = "127.0.0.1",
                  port: int = 0, *, io_timeout: float = 30.0,
                  idle_evict_s: float = 0.0,
-                 max_message_bytes: int = protocol.MAX_MESSAGE_BYTES,
-                 dispatch_workers: int = 8) -> None:
+                 max_message_bytes: int = protocol.MAX_MESSAGE_BYTES
+                 ) -> None:
         if io_timeout < 0:
             raise ValueError("io_timeout must be >= 0")
         if idle_evict_s < 0:
             raise ValueError("idle_evict_s must be >= 0")
-        if dispatch_workers < 1:
-            raise ValueError("dispatch_workers must be >= 1")
         self.manager = manager
         self.io_timeout = io_timeout
         self.idle_evict_s = idle_evict_s
@@ -176,7 +174,7 @@ class ServeDaemon:
         # releases whatever was already opened before it propagates
         with contextlib.ExitStack() as opened:
             self._executor = ThreadPoolExecutor(
-                max_workers=dispatch_workers,
+                max_workers=_DISPATCH_WORKERS,
                 thread_name_prefix="serve-dispatch")
             opened.callback(self._executor.shutdown, wait=False)
             self._selector = selectors.DefaultSelector()

@@ -7,8 +7,7 @@ daemon is therefore split in two:
 - the *front* process keeps the event loop, the
   :class:`~repro.serve.manager.SessionManager` (admission, carving,
   chunk dedupe, the journal, compaction, eviction, drain, status) and
-  one single-worker :class:`~repro.serve.scheduler.BatchScheduler` per
-  host;
+  one :class:`~repro.serve.scheduler.BatchScheduler` per host;
 - each *host* process owns the
   :class:`~repro.serve.session.AdaptationSession` (model, method, guard,
   optimizer) of every tenant placed on it, for the tenant's life, and
@@ -91,14 +90,14 @@ class Host:
     """The front's handle on one host process.
 
     :attr:`tenants` is the placement load (the manager's registry lock
-    guards it); :attr:`scheduler` is the host's own single-worker
-    scheduler, whose worker is the only thread that calls :meth:`call`.
+    guards it); :attr:`scheduler` is the host's own scheduler, whose one
+    worker is the only thread that calls :meth:`call`.
     """
 
     def __init__(self, pid: int, channel: Channel) -> None:
         self.pid = pid
         self.channel = channel
-        self.scheduler = BatchScheduler(workers=1, start=False)
+        self.scheduler = BatchScheduler(start=False)
         #: what this host's batches run with, from its ready message
         self.blas_threads: Optional[int] = None
         self.tenants = 0
@@ -241,7 +240,7 @@ def _serve(channel: Channel, make_backend: Callable[[], Any]) -> int:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     sessions: Dict[str, AdaptationSession] = {}
     # the host runs on one BLAS thread without setting it: it inherits
-    # the count from the front's hold across the fork (the hosts are the
+    # the count the front set before the fork (the hosts are the
     # parallelism, and a BLAS pool per host only oversubscribes cores)
     with use_backend(make_backend()):
         channel.send(blas_threads())

@@ -16,7 +16,7 @@ The sessions live in ``workers`` host processes
 places a tenant on the least-loaded live host, where its session stays
 for the tenant's life; a checkpoint carries a tenant's whole state, so
 an evicted or resumed tenant may land on any host.  Each host has its
-own single-worker :class:`~repro.serve.scheduler.BatchScheduler`:
+own :class:`~repro.serve.scheduler.BatchScheduler`:
 ingest carves batches and submits each under the tenant's key, the
 worker sends it to the host as one round trip, and ingest waits the
 tickets out, so the ack is still synchronous.  Per-tenant order and
@@ -56,8 +56,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engine import BACKEND_NAMES, create_backend
-from repro.engine.blas import SingleBlasThread
+from repro.engine import create_backend
+from repro.engine.blas import set_one_blas_thread
 from repro.models.registry import build_model
 from repro.nn import init as nn_init
 from repro.resilience.journal import RunJournal
@@ -187,17 +187,14 @@ class _Tenant:
                 "chunk": self.last_chunk, "checkpoint": checkpoint}
 
 
-def _release(hosts: List[Host], journal: Optional[RunJournal],
-             blas: SingleBlasThread) -> None:
-    """Stop the hosts' schedulers, then the hosts; close the journal and
-    release the one-thread BLAS hold."""
+def _release(hosts: List[Host], journal: Optional[RunJournal]) -> None:
+    """Stop the hosts' schedulers, then the hosts; close the journal."""
     for host in hosts:
         host.scheduler.close()
     for host in hosts:
         host.stop()
     if journal is not None:
         journal.close()
-    blas.release()
 
 
 class SessionManager:
@@ -211,12 +208,13 @@ class SessionManager:
     thread-safe — are serialized behind a journal lock.
 
     ``workers`` is the number of host processes, forked here, before
-    the manager starts a thread or opens its journal; ``backend`` names
-    the engine backend each host builds for itself.
+    the manager starts a thread or opens its journal.  Each host builds
+    its own engine backend through this module's ``create_backend``,
+    looked up when the manager is built.
     """
 
     def __init__(self, *, journal: Optional[str] = None,
-                 resume: bool = False, backend: str = "numpy",
+                 resume: bool = False,
                  max_tenants: int = 8, checkpoint_every: int = 1,
                  compact_above: int = 0, workers: int = 2) -> None:
         if max_tenants < 1:
@@ -227,9 +225,6 @@ class SessionManager:
             raise ValueError("compact_above must be >= 0")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in BACKEND_NAMES:
-            raise ValueError(f"unknown backend {backend!r}; expected one "
-                             f"of {BACKEND_NAMES}")
         self.max_tenants = max_tenants
         self.checkpoint_every = checkpoint_every
         #: journal size (bytes) above which a checkpoint append triggers
@@ -246,12 +241,12 @@ class SessionManager:
         self._hosts: List[Host] = []
         # BLAS at one thread before the fork: the hosts inherit the count
         # and never set it themselves (see repro.engine.blas)
-        blas = SingleBlasThread()
+        set_one_blas_thread()
         try:
             # first: the hosts fork from a process with no thread and no
             # journal of this manager's yet (see repro.serve.host)
             self._hosts = start_hosts(workers,
-                                      partial(create_backend, backend))
+                                      partial(create_backend, "numpy"))
             if journal:
                 self._journal = RunJournal(journal, resume=resume)
                 if resume:
@@ -260,12 +255,12 @@ class SessionManager:
                               "resumed_tenants": sorted(self._saved)})
         except BaseException:
             # a journal that fails to open or scan leaves no host behind
-            _release(self._hosts, self._journal, blas)
+            _release(self._hosts, self._journal)
             raise
         # a manager dropped without close() (the kill-resume tests'
         # SIGKILL) still ends its hosts and closes its journal file
         self._release = weakref.finalize(self, _release, self._hosts,
-                                         self._journal, blas)
+                                         self._journal)
         for host in self._hosts:
             host.scheduler.start()
 

@@ -5,16 +5,21 @@ calling tenant's lock: correct, but one hot tenant's backlog ran on the
 connection handler's thread while every other tenant's work waited for
 a thread of its own.  :class:`BatchScheduler` decouples *who asks* from
 *who runs*: ingest enqueues carved batches as keyed work items and the
-scheduler's workers dispatch them in a fair order, so no connection
-thread runs another tenant's backlog.
+scheduler's one worker thread dispatches them in a fair order, so no
+connection thread runs another tenant's backlog.
 
-Two invariants make the scheduler safe to put under the bit-identity
-contract (kill-resume, chaos twins):
+The serve manager runs one scheduler per host process
+(:mod:`repro.serve.host`): the hosts are the parallelism, and a host
+answers one request at a time, so one worker is all a scheduler needs.
+That worker is the only thread that talks to its host, and it waits on
+the host's socket with the GIL released.  Two invariants make the
+scheduler safe to put under the bit-identity contract (kill-resume,
+chaos twins):
 
 - **per-key FIFO**: items submitted under one key run in submission
   order, exactly the order ``ingest`` carved them;
-- **per-key non-overlap**: at most one item per key is in flight, so a
-  tenant's session is never entered concurrently.
+- **per-key non-overlap**: with one worker, no two items run at once,
+  so a tenant's session is never entered concurrently.
 
 Across keys the dispatch order is round-robin: a key leaves the
 rotation while its item runs and re-joins at the *tail* when it
@@ -23,20 +28,14 @@ completes, so a hot tenant with a deep queue cannot starve a cold one
 
 Submitters get a :class:`BatchTicket` per item and wait on it; the ack
 a client sees is therefore still synchronous (`batches_done` reflects
-every batch of the chunk), only the execution is pooled.
-
-The serve manager runs one single-worker scheduler per host process
-(:mod:`repro.serve.host`): the hosts are the parallelism.  The worker is
-the only thread that talks to its host, so a host sees one request at a
-time in per-tenant FIFO order, and the worker waits on the host's socket
-with the GIL released.
+every batch of the chunk), only the execution moved.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 __all__ = ["BatchScheduler", "BatchTicket", "SchedulerClosedError"]
 
@@ -77,50 +76,28 @@ class BatchTicket:
         self._event.set()
 
 
-class _KeyQueue:
-    """One key's pending items plus its in-flight marker."""
-
-    __slots__ = ("items", "in_flight")
-
-    def __init__(self) -> None:
-        self.items: Deque[tuple] = deque()      # (fn, ticket)
-        self.in_flight = False
-
-
 class BatchScheduler:
-    """Round-robin keyed work queues over a bounded worker pool.
+    """Round-robin keyed work queues over one worker thread.
 
-    Parameters
-    ----------
-    workers:
-        Worker thread count (the serve manager uses one per host
-        process).  Workers are daemon threads so an abandoned manager
-        (the SIGKILL test pattern ``del manager``) never blocks
-        interpreter exit.
-    record_dispatches:
-        Keep an ordered log of dispatched keys in :attr:`dispatch_log`
-        (tests assert fairness on it; off by default to stay O(1)).
-    start:
-        ``False`` delays the worker pool until :meth:`start`, letting a
-        test preload queues and observe a deterministic dispatch order.
+    The worker is a daemon thread, so an abandoned manager (the SIGKILL
+    test pattern ``del manager``) never blocks interpreter exit.
+    ``start=False`` delays it until :meth:`start`, letting a test preload
+    queues and observe a deterministic dispatch order.
     """
 
-    def __init__(self, *, workers: int = 2,
-                 record_dispatches: bool = False,
-                 start: bool = True) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.dispatch_log: List[str] = []
-        self._record = record_dispatches
+    def __init__(self, *, start: bool = True) -> None:
         self._cond = threading.Condition()
-        self._queues: Dict[str, _KeyQueue] = {}
+        #: pending ``(fn, ticket)`` items of every key that has queued
+        #: or running work; a key leaves only once it has neither
+        self._queues: Dict[str, Deque[tuple]] = {}
+        #: keys with queued work, in dispatch order; the running key is
+        #: not among them until its item completes
         self._rotation: Deque[str] = deque()
         self._in_flight = 0
         self._queued = 0
         self._dispatched = 0
         self._closed = False
-        self._threads: List[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
         if start:
             self.start()
 
@@ -134,33 +111,27 @@ class BatchScheduler:
                 raise SchedulerClosedError("scheduler is closed")
             queue = self._queues.get(key)
             if queue is None:
-                queue = self._queues[key] = _KeyQueue()
-            queue.items.append((fn, ticket))
-            self._queued += 1
-            # a key already in flight (or already queued) is not
-            # re-entered into the rotation: the finishing worker or the
-            # existing entry will pick this item up in FIFO order
-            if not queue.in_flight and len(queue.items) == 1:
+                queue = self._queues[key] = deque()
                 self._rotation.append(key)
+            # a key already queued or running is not re-entered into the
+            # rotation: its entry, or its completion, picks this item up
+            queue.append((fn, ticket))
+            self._queued += 1
             self._cond.notify()
         return ticket
 
-    # -- worker pool ---------------------------------------------------
+    # -- the worker ----------------------------------------------------
 
     def start(self) -> None:
-        """Start the worker pool (idempotent)."""
-        started: List[threading.Thread] = []
+        """Start the worker (idempotent)."""
         with self._cond:
             if self._closed:
                 raise SchedulerClosedError("scheduler is closed")
-            while len(self._threads) < self.workers:
-                thread = threading.Thread(
-                    target=self._work, daemon=True,
-                    name=f"serve-batch-{len(self._threads)}")
-                self._threads.append(thread)
-                started.append(thread)
-        for thread in started:
-            thread.start()
+            if self._thread is not None:
+                return
+            self._thread = threading.Thread(target=self._work, daemon=True,
+                                            name="serve-batch")
+        self._thread.start()
 
     def _work(self) -> None:
         while True:
@@ -171,13 +142,10 @@ class BatchScheduler:
                     return
                 key = self._rotation.popleft()
                 queue = self._queues[key]
-                fn, ticket = queue.items.popleft()
-                queue.in_flight = True
-                self._in_flight += 1
+                fn, ticket = queue.popleft()
+                self._in_flight = 1
                 self._queued -= 1
                 self._dispatched += 1
-                if self._record:
-                    self.dispatch_log.append(key)
             error: Optional[BaseException] = None
             result: Any = None
             try:
@@ -188,15 +156,14 @@ class BatchScheduler:
             # (a manager dropped without close() must stay collectable)
             fn = None
             with self._cond:
-                self._in_flight -= 1
+                self._in_flight = 0
                 if not self._closed:
-                    queue.in_flight = False
-                    if queue.items:
+                    if queue:
                         # tail re-entry: round-robin fairness across keys
                         self._rotation.append(key)
                     else:
                         del self._queues[key]
-                self._cond.notify_all()         # wake workers + waiters
+                self._cond.notify_all()         # wake waiters
             ticket._finish(error, result)
             ticket = result = error = None
 
@@ -223,12 +190,12 @@ class BatchScheduler:
     def stats(self) -> dict:
         """JSON-safe counters for the daemon's status document."""
         with self._cond:
-            return {"workers": self.workers, "queued": self._queued,
+            return {"workers": 1, "queued": self._queued,
                     "in_flight": self._in_flight,
                     "dispatched": self._dispatched}
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the pool; outstanding tickets fail with a closed error.
+        """Stop the worker; outstanding tickets fail with a closed error.
 
         In-flight batches finish (their tickets resolve normally);
         queued-but-never-dispatched items are failed so no submitter
@@ -239,7 +206,7 @@ class BatchScheduler:
                 return
             self._closed = True
             stranded = [ticket for queue in self._queues.values()
-                        for _, ticket in queue.items]
+                        for _, ticket in queue]
             self._queues.clear()
             self._rotation.clear()
             self._queued = 0
@@ -247,8 +214,5 @@ class BatchScheduler:
         for ticket in stranded:
             ticket._finish(SchedulerClosedError(
                 "scheduler closed before the batch ran"))
-        for thread in self._threads:
-            if thread.is_alive():
-                thread.join(timeout=timeout)
-        with self._cond:
-            self._threads.clear()
+        if self._thread is not None and self._thread.is_alive():
+            self._thread.join(timeout=timeout)

@@ -204,3 +204,26 @@ class TestSanitizeBackendFlag:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "another process" in lines[0]
+
+    def test_serve_bench_is_usage_error(self, capsys):
+        # its hosts run the engine in other processes, as serve's do
+        assert main(["--backend", "sanitize", "serve-bench", "--tenants",
+                     "1", "--frames", "16", "--batch-size", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "another process" in lines[0]
+
+    @pytest.mark.parametrize("backend", ["numpy", "sanitize"])
+    def test_bench_refuses_the_global_backend(self, backend, tmp_path,
+                                              capsys):
+        path = tmp_path / "bench.json"
+        assert main(["--backend", backend, "bench", "--batch", "4",
+                     "--repeats", "1", "--no-sweep",
+                     "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"--backends {backend}" in lines[0]

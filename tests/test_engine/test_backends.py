@@ -9,7 +9,6 @@ from repro.engine import (
     BACKEND_NAMES,
     InstrumentedBackend,
     NumpyBackend,
-    ThreadedBackend,
     create_backend,
     default_backend,
     get_backend,
@@ -32,7 +31,7 @@ class TestDispatch:
         assert default_backend() is get_backend()
 
     def test_use_backend_activates_and_restores(self):
-        backend = ThreadedBackend(threads=2)
+        backend = NumpyBackend()
         before = get_backend()
         with use_backend(backend):
             assert get_backend() is backend
@@ -68,7 +67,7 @@ class TestDispatch:
 
     def test_create_backend_names(self):
         for name in BACKEND_NAMES:
-            backend = create_backend(name, threads=2)
+            backend = create_backend(name)
             assert backend.name == name
             backend.close()
         with pytest.raises(ValueError):
@@ -86,8 +85,21 @@ class TestDispatch:
         assert inst.op_stats["conv2d_backward"].calls == 1
 
 
+def named_backends():
+    """Every backend the CLI can name besides the numpy reference."""
+    return [create_backend(name) for name in BACKEND_NAMES if name != "numpy"]
+
+
+def assert_clean(backend):
+    """Close ``backend`` after checking that a validating wrapper (the
+    sanitizer) found nothing to report."""
+    assert getattr(backend, "findings", []) == []
+    backend.close()
+
+
 class TestBackendAgreement:
-    """ThreadedBackend must match NumpyBackend on every kernel."""
+    """Every backend ``create_backend`` names computes what NumpyBackend
+    computes, bit for bit: a wrapper observes, it never moves a result."""
 
     @pytest.mark.parametrize("groups,cin,cout", [(1, 6, 8), (2, 6, 8), (6, 6, 6)])
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
@@ -96,11 +108,12 @@ class TestBackendAgreement:
         w = rand((cout, cin // groups, 3, 3), 3)
         with use_backend(NumpyBackend()), no_grad():
             ref = conv2d(x, w, stride=stride, padding=padding, groups=groups)
-        threaded = ThreadedBackend(threads=4, min_shard=2)
-        with use_backend(threaded), no_grad():
-            got = conv2d(x, w, stride=stride, padding=padding, groups=groups)
-        threaded.close()
-        np.testing.assert_allclose(got.data, ref.data, rtol=1e-5, atol=1e-5)
+        for backend in named_backends():
+            with use_backend(backend), no_grad():
+                got = conv2d(x, w, stride=stride, padding=padding,
+                             groups=groups)
+            assert_clean(backend)
+            np.testing.assert_array_equal(got.data, ref.data)
 
     @pytest.mark.parametrize("groups", [1, 2, 6])
     def test_conv_backward_matches(self, groups):
@@ -113,50 +126,20 @@ class TestBackendAgreement:
             return x.grad, w.grad
 
         ref_dx, ref_dw = grads(NumpyBackend())
-        threaded = ThreadedBackend(threads=4, min_shard=2)
-        got_dx, got_dw = grads(threaded)
-        threaded.close()
-        np.testing.assert_allclose(got_dx, ref_dx, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(got_dw, ref_dw, rtol=1e-4, atol=1e-4)
-
-    def test_threaded_weight_grad_deterministic(self):
-        threaded = ThreadedBackend(threads=4, min_shard=2)
-
-        def dw():
-            x = rand((32, 4, 8, 8), 6, requires_grad=False)
-            w = rand((8, 4, 3, 3), 7, requires_grad=True)
-            with use_backend(threaded):
-                out = conv2d(x, w, padding=1)
-                out.backward(np.ones_like(out.data))
-            return w.grad
-
-        first = dw()
-        for _ in range(3):
-            np.testing.assert_array_equal(dw(), first)
-        threaded.close()
-
-    def test_matmul_matches_and_shards(self):
-        a = rand((64, 32), 8)
-        b = rand((32, 16), 9)
-        ref = a.data @ b.data
-        threaded = ThreadedBackend(threads=4, min_shard=4)
-        np.testing.assert_array_equal(threaded.matmul(a.data, b.data), ref)
-        threaded.close()
-
-    def test_small_batch_falls_back_to_single_thread(self):
-        threaded = ThreadedBackend(threads=4, min_shard=8)
-        assert threaded._shards(4) == []
-        assert len(threaded._shards(64)) > 1
-        threaded.close()
+        for backend in named_backends():
+            got_dx, got_dw = grads(backend)
+            assert_clean(backend)
+            np.testing.assert_array_equal(got_dx, ref_dx)
+            np.testing.assert_array_equal(got_dw, ref_dw)
 
     def test_batchnorm_stats_match(self):
         x = rand((16, 5, 6, 6), 10)
         ref_mean, ref_var = NumpyBackend().batchnorm_stats(x.data)
-        threaded = ThreadedBackend(threads=2)
-        got_mean, got_var = threaded.batchnorm_stats(x.data)
-        threaded.close()
-        np.testing.assert_array_equal(got_mean, ref_mean)
-        np.testing.assert_array_equal(got_var, ref_var)
+        for backend in named_backends():
+            got_mean, got_var = backend.batchnorm_stats(x.data)
+            assert_clean(backend)
+            np.testing.assert_array_equal(got_mean, ref_mean)
+            np.testing.assert_array_equal(got_var, ref_var)
 
     def test_pooling_matches(self):
         x = rand((16, 3, 8, 8), 11, requires_grad=True)
@@ -164,14 +147,14 @@ class TestBackendAgreement:
             ref = max_pool2d(x, 2)
             ref.backward(np.ones_like(ref.data))
         ref_grad = x.grad
-        x.zero_grad()
-        threaded = ThreadedBackend(threads=2)
-        with use_backend(threaded):
-            got = max_pool2d(x, 2)
-            got.backward(np.ones_like(got.data))
-        threaded.close()
-        np.testing.assert_array_equal(got.data, ref.data)
-        np.testing.assert_array_equal(x.grad, ref_grad)
+        for backend in named_backends():
+            x.zero_grad()
+            with use_backend(backend):
+                got = max_pool2d(x, 2)
+                got.backward(np.ones_like(got.data))
+            assert_clean(backend)
+            np.testing.assert_array_equal(got.data, ref.data)
+            np.testing.assert_array_equal(x.grad, ref_grad)
 
     def test_model_forward_matches_across_backends(self):
         """A whole conv-BN-linear model agrees across backends."""
@@ -183,11 +166,11 @@ class TestBackendAgreement:
         x = rand((32, 3, 8, 8), 12)
         with no_grad():
             ref = model(x).data
-            threaded = ThreadedBackend(threads=4, min_shard=2)
-            with use_backend(threaded):
-                got = model(x).data
-            threaded.close()
-        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+            for backend in named_backends():
+                with use_backend(backend):
+                    got = model(x).data
+                assert_clean(backend)
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestArena:
@@ -284,8 +267,8 @@ class TestInstrumentedBackend:
         assert inst.op_stats == {}
 
     def test_shares_inner_name_and_arena(self):
-        inner = ThreadedBackend(threads=2)
+        inner = NumpyBackend()
         inst = InstrumentedBackend(inner)
-        assert inst.name == "threaded"
+        assert inst.name == "numpy"
         assert inst.arena is inner.arena
         inner.close()

@@ -1,4 +1,4 @@
-"""One BLAS thread per engine worker (:mod:`repro.engine.blas`).
+"""One BLAS thread per engine worker process (:mod:`repro.engine.blas`).
 
 Three contracts:
 
@@ -7,11 +7,10 @@ Three contracts:
   out byte-identical at one BLAS thread and at two.  perfbench's
   scorecard replay and the serial-vs-``workers=2`` study pins already
   rely on this; here it is stated.
-- **Scope.**  Holders are refcounted: BLAS stays at one thread until
-  the last holder releases, then the count saved by the first returns.
-  A serve manager holds from before it forks its hosts until its close
-  (the hosts inherit the count), the threaded backend while its pool
-  exists, a sweep worker for its whole life.
+- **Setter.**  ``set_one_blas_thread`` is one-way and idempotent: a serve
+  manager calls it before it forks its hosts (the hosts inherit the
+  count), a sweep worker when it starts, and nothing restores the old
+  count.
 - **Locator.**  On Linux, a numpy built against OpenBLAS must be found
   and controllable: a renamed export fails here instead of silently
   switching the one-thread rule off.
@@ -30,14 +29,13 @@ import pytest
 
 from repro.adapt import BNState
 from repro.core.executor import CellSpec, RetryPolicy
-from repro.engine import NumpyBackend, ThreadedBackend, blas
-from repro.engine.blas import SingleBlasThread, blas_threads
+from repro.engine import NumpyBackend, blas
+from repro.engine.blas import blas_threads, set_one_blas_thread
 from repro.models import MODEL_NAMES, build_model
 from repro.nn import init as nn_init
 from repro.parallel.worker import SHUTDOWN, CellTask, worker_main
 from repro.resilience.journal import JournalError
 from repro.serve.manager import SessionManager, TenantSpec
-from repro.serve.scheduler import BatchScheduler
 from repro.serve.session import AdaptationSession
 
 from tests.test_engine.test_conv_lowering import model_conv_configs
@@ -48,15 +46,6 @@ needs_blas = pytest.mark.skipif(
     blas_threads() is None,
     reason="no controllable OpenBLAS is loaded (MKL, Accelerate or "
            "non-Linux): the BLAS thread count cannot be set")
-
-
-@pytest.fixture(autouse=True)
-def no_live_holder(monkeypatch):
-    """Each test starts with no live holder.  A manager abandoned
-    elsewhere in the pytest run (the SIGKILL pattern of the kill-resume
-    tests) keeps its hold until it is garbage-collected."""
-    monkeypatch.setattr(blas, "_holders", 0)
-    monkeypatch.setattr(blas, "_saved", blas._saved)
 
 
 @contextmanager
@@ -94,8 +83,7 @@ def conv_kernels(backend, config, seed=0):
 def test_conv_kernels_identical_at_one_and_two_blas_threads(name):
     backend = NumpyBackend()
     for config in model_conv_configs(name):
-        with SingleBlasThread():
-            assert blas_threads() == 1
+        with blas_at(1):
             single = conv_kernels(backend, config)
         with blas_at(2):
             double = conv_kernels(backend, config)
@@ -111,9 +99,9 @@ def tenant_spec(tenant, seed):
 
 @needs_blas
 def test_served_tenants_match_sessions_at_default_blas_threads():
-    """Two bn_opt+guard tenants served by ``workers=2`` hosts (each
-    holding BLAS at one thread) end exactly as in-process sessions run
-    at two BLAS threads outside any scope."""
+    """Two bn_opt+guard tenants served by ``workers=2`` hosts (each on
+    one BLAS thread) end exactly as in-process sessions run at two BLAS
+    threads."""
     specs = [tenant_spec("cam0", 3), tenant_spec("cam1", 4)]
     streams = {spec.tenant: poison(make_batches(5, seed=spec.seed), {2})
                for spec in specs}
@@ -151,101 +139,60 @@ def test_served_tenants_match_sessions_at_default_blas_threads():
 
 
 # ---------------------------------------------------------------------------
-# scope semantics
+# the setter
 # ---------------------------------------------------------------------------
-
-@needs_blas
-def test_overlapping_holders_keep_one_thread_until_the_last_release():
-    with blas_at(2):
-        first = SingleBlasThread()
-        second = SingleBlasThread()
-        assert blas_threads() == 1
-        first.release()
-        assert blas_threads() == 1
-        first.release()                 # idempotent: not a second release
-        assert blas_threads() == 1
-        second.release()
-        assert blas_threads() == 2
-
-
-@needs_blas
-def test_racing_holders_lose_no_update():
-    """More holders than cores, switching threads every microsecond: a
-    lost refcount update would leave a holder behind or restore early."""
-    seen = []
-
-    def churn():
-        for _ in range(200):
-            with SingleBlasThread():
-                seen.append(blas_threads())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with blas_at(2):
-            threads = [threading.Thread(target=churn) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert blas._holders == 0
-            assert blas_threads() == 2
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(seen) == 8 * 200 and set(seen) == {1}
-
 
 @needs_blas
 def test_hosts_inherit_one_blas_thread_from_their_manager():
     with blas_at(2):
         manager = SessionManager(workers=2)
         try:
-            # the manager holds from before the fork to its close, and
-            # each host holds for its whole life
-            assert blas_threads() == 1 and blas._holders == 1
+            # set before the fork: the hosts inherit it and set nothing
+            assert blas_threads() == 1
             hosts = manager.status()["hosts"]
             assert [host["blas_threads"] for host in hosts] == [1, 1]
         finally:
             manager.close()
-        assert blas_threads() == 2 and blas._holders == 0
+
+
+@needs_blas
+def test_one_blas_thread_outlives_the_manager_that_set_it():
+    """Nothing restores the old count: the process keeps one thread
+    after its manager closes, and a second manager's hosts, forked
+    from a process already at one, still run on one."""
+    with blas_at(2):
+        first = SessionManager(workers=1)
+        first.close()
+        assert blas_threads() == 1
+        second = SessionManager(workers=2)
+        try:
+            assert blas_threads() == 1
+            hosts = second.status()["hosts"]
+            assert [host["blas_threads"] for host in hosts] == [1, 1]
+        finally:
+            second.close()
+        assert blas_threads() == 1
 
 
 @needs_blas
 def test_a_count_already_at_one_is_left_alone(monkeypatch):
-    """Setting the count re-creates OpenBLAS's pool after a fork, so a
-    holder that finds one thread sets nothing, and restores nothing."""
+    """Setting the count re-creates OpenBLAS's pool after a fork, so the
+    setter sets nothing where it finds one thread already."""
     get, put = blas._runtime()
     calls = []
 
     def recording():
         return get, lambda count: calls.append(count) or put(count)
 
-    for count, expected in ((1, []), (2, [1, 2])):
+    for count, expected in ((1, []), (2, [1])):
         with blas_at(count):
             with monkeypatch.context() as patch:
                 patch.setattr(blas, "_runtime", recording)
-                with SingleBlasThread():
-                    assert blas_threads() == 1
+                set_one_blas_thread()
+                set_one_blas_thread()   # idempotent: no second call
+                assert blas_threads() == 1
             assert calls == expected
         calls.clear()
-
-
-@needs_blas
-def test_threaded_backend_holds_while_its_pool_exists():
-    a = np.ones((4, 3), np.float32)
-    b = np.ones((3, 2), np.float32)
-    with blas_at(2):
-        backend = ThreadedBackend(threads=2, min_shard=1)
-        assert blas_threads() == 2      # no pool yet
-        backend.matmul(a, b)
-        assert blas_threads() == 1
-        backend.close()
-        assert blas_threads() == 2
-        single = ThreadedBackend(threads=1, min_shard=1)
-        single.matmul(a, b)             # never shards: never pools
-        assert blas_threads() == 2
-        single.close()
 
 
 def test_manager_failing_to_open_its_journal_holds_nothing(tmp_path):
@@ -255,7 +202,6 @@ def test_manager_failing_to_open_its_journal_holds_nothing(tmp_path):
     threads, children = threading.active_count(), child_pids()
     with pytest.raises(JournalError):
         SessionManager(journal=str(journal), resume=True)
-    assert blas._holders == 0
     assert threading.active_count() == threads
     assert child_pids() <= children     # both hosts reaped
 
@@ -274,7 +220,7 @@ def test_sweep_worker_holds_for_its_whole_life():
     tasks.put(SHUTDOWN)
     with blas_at(2):
         worker_main(0, tasks, events, RetryPolicy(), seen)
-        assert blas_threads() == 2
+        assert blas_threads() == 1      # set at start, never restored
     assert seen == [1]
 
 
@@ -283,22 +229,16 @@ def test_no_controllable_blas_makes_every_entry_point_a_no_op(monkeypatch):
     real = blas_threads()
     monkeypatch.setattr(blas, "_runtime", lambda: None)
     assert blas_threads() is None
-    with SingleBlasThread():
-        assert blas._holders == 0
-    scheduler = BatchScheduler(workers=2)
-    assert blas._holders == 0
+    set_one_blas_thread()
     if runtime is not None:
         assert runtime[0]() == real     # the real count was left alone
-    scheduler.close()
-    backend = ThreadedBackend(threads=2, min_shard=1)
-    backend.matmul(np.ones((4, 3)), np.ones((3, 2)))
-    backend.close()
     manager = SessionManager(workers=2)
     try:
         assert manager.status()["scheduler"]["blas_threads"] is None
     finally:
         manager.close()
-    assert blas._holders == 0
+    if runtime is not None:
+        assert runtime[0]() == real
     monkeypatch.undo()
     assert blas_threads() == real
 
@@ -322,10 +262,9 @@ def test_locator_finds_and_controls_numpys_openblas():
     name = numpy_blas_name()
     if "openblas" not in name.lower():
         pytest.skip(f"numpy reports no OpenBLAS build ({name or 'unknown'})")
-    saved = blas_threads()
-    assert saved is not None, (
+    assert blas_threads() is not None, (
         f"numpy is built against {name}, but none of the OpenBLAS thread "
         "exports the locator tries was found")
-    with SingleBlasThread():
+    with blas_at(2):
+        set_one_blas_thread()
         assert blas_threads() == 1
-    assert blas_threads() == saved

@@ -1,25 +1,16 @@
-"""Gradcheck for grouped/depthwise convolution under every backend.
+"""Gradcheck for grouped/depthwise convolution on the reference backend.
 
-The backend contract: the default NumpyBackend reproduces the seed
-numerics bit-for-bit, and the ThreadedBackend matches finite differences
-just as tightly (its only reassociation is the shard-ordered weight
-gradient sum).  These checks run in float64 so the tolerance is the
-gradcheck default.
+The backend contract: NumpyBackend reproduces the seed numerics
+bit-for-bit and matches finite differences.  These checks run in
+float64 so the tolerance is the gradcheck default.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import NumpyBackend, ThreadedBackend, use_backend
+from repro.engine import NumpyBackend, use_backend
 from repro.tensor import Tensor, gradcheck
 from repro.tensor.conv import conv2d
-
-
-def make_backend(name):
-    if name == "numpy":
-        return NumpyBackend()
-    # Small min_shard so the tiny gradcheck batches actually shard.
-    return ThreadedBackend(threads=2, min_shard=2)
 
 
 def f64(shape, seed):
@@ -27,9 +18,9 @@ def f64(shape, seed):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-@pytest.fixture(params=["numpy", "threaded"])
+@pytest.fixture(params=["numpy"])
 def backend(request):
-    built = make_backend(request.param)
+    built = NumpyBackend()
     with use_backend(built):
         yield built
     built.close()
@@ -60,25 +51,3 @@ class TestConvGradcheckPerBackend:
         w = f64((5, 1, 3, 3), 8)      # groups == channels
         gradcheck(lambda x, w: conv2d(x, w, stride=1, padding=1,
                                       groups=5).sum(), [x, w])
-
-
-class TestCrossBackendIdentity:
-    """Outputs and gradients must agree across backends on one graph each."""
-
-    @pytest.mark.parametrize("groups,cin,cout", [(1, 4, 6), (2, 4, 6), (4, 4, 4)])
-    def test_outputs_and_grads_identical(self, groups, cin, cout):
-        def run(backend):
-            x = f64((6, cin, 5, 5), 9)
-            w = f64((cout, cin // groups, 3, 3), 10)
-            with use_backend(backend):
-                out = conv2d(x, w, stride=1, padding=1, groups=groups)
-                out.backward(np.ones_like(out.data))
-            return out.data, x.grad, w.grad
-
-        ref = run(NumpyBackend())
-        threaded = ThreadedBackend(threads=2, min_shard=2)
-        got = run(threaded)
-        threaded.close()
-        np.testing.assert_allclose(got[0], ref[0], atol=1e-12)
-        np.testing.assert_allclose(got[1], ref[1], atol=1e-12)
-        np.testing.assert_allclose(got[2], ref[2], atol=1e-10)

@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.adapt import BNNorm, BNOpt, NoAdapt, bn_layers, build_method
 from repro.adapt.base import AdaptationMethod
-from repro.engine import create_backend, use_backend
+from repro.engine import BACKEND_NAMES, create_backend, use_backend
 from repro.models import build_model
 from repro.robustness.guard import (
     LADDER,
@@ -232,13 +232,13 @@ class TestReset:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend_name", ["numpy", "threaded"])
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_rollback_bit_identical_on_backend(self, backend_name,
                                                clean_batch, nan_batch):
         """The acceptance bar: after a rollback the BN state equals the
         pre-batch snapshot *bit for bit*, whichever execution backend ran
         the poisoned forward pass."""
-        backend = create_backend(backend_name, threads=2)
+        backend = create_backend(backend_name)
         try:
             with use_backend(backend):
                 model = build_model("wrn40_2", "tiny")

@@ -9,7 +9,8 @@ Three acceptance proofs live here:
   method's counter and the BN state both say so;
 - **cross-backend bit-identity**: a markov stream with NaN faults,
   guarded, produces byte-equal scorecards and segment cards on the
-  numpy and threaded engines.
+  numpy engine and under the numeric sanitizer, which observes the
+  NaN without moving a result.
 """
 
 import dataclasses
@@ -116,7 +117,7 @@ class TestCrossBackendBitIdentity:
     MARKOV = "markov:p=0.4+over=fog|gaussian_noise|contrast"
 
     def outcome_on(self, backend_name, dataset):
-        backend = create_backend(backend_name, threads=2)
+        backend = create_backend(backend_name)
         try:
             with use_backend(backend):
                 return run(dataset, self.MARKOV, method="bn_opt",
@@ -127,11 +128,11 @@ class TestCrossBackendBitIdentity:
 
     def test_guarded_markov_nan_stream_bit_identical(self, tiny_dataset):
         numpy_run = self.outcome_on("numpy", tiny_dataset)
-        threaded_run = self.outcome_on("threaded", tiny_dataset)
+        sanitized_run = self.outcome_on("sanitize", tiny_dataset)
         assert numpy_run.scorecard.rollbacks >= 1     # the fault bit
-        assert numpy_run.segments == threaded_run.segments
+        assert numpy_run.segments == sanitized_run.segments
         assert strip_timing(numpy_run.scorecard) == \
-            strip_timing(threaded_run.scorecard)
+            strip_timing(sanitized_run.scorecard)
 
     def test_fault_seed_rerolls_without_moving_the_schedule(self,
                                                            tiny_dataset):

@@ -13,7 +13,7 @@ from repro.models.wide_resnet import wide_resnet40_2
 from repro.nn import init as nn_init
 
 #: the ``blas_threads`` a running manager's status reports: each host
-#: holds BLAS at one thread, unless none can be controlled
+#: runs on one BLAS thread, unless none can be controlled
 HELD_BLAS_THREADS = None if blas_threads() is None else 1
 
 

@@ -23,7 +23,7 @@ from tests.test_serve.conftest import (
 
 @pytest.fixture
 def scheduler():
-    instance = BatchScheduler(workers=2)
+    instance = BatchScheduler()
     yield instance
     instance.close()
 
@@ -38,8 +38,8 @@ class TestOrdering:
         assert ran == list(range(20))
 
     def test_per_key_non_overlap(self, scheduler):
-        """A key's session is never entered concurrently, even with
-        more workers than keys."""
+        """A key's session is never entered concurrently, even when
+        its items are submitted from many threads at once."""
         active = []
         overlaps = []
         lock = threading.Lock()
@@ -53,36 +53,29 @@ class TestOrdering:
             with lock:
                 active.pop()
 
-        for _ in range(10):
-            scheduler.submit("t", item)
+        feeders = [threading.Thread(
+            target=lambda: [scheduler.submit("t", item) for _ in range(5)])
+            for _ in range(2)]
+        for feeder in feeders:
+            feeder.start()
+        for feeder in feeders:
+            feeder.join()
         assert scheduler.wait_idle(timeout=10.0)
         assert overlaps == []
-
-    def test_keys_run_concurrently(self, scheduler):
-        """Different keys do overlap — that is the point of the pool."""
-        barrier = threading.Barrier(2, timeout=5.0)
-        scheduler.submit("a", barrier.wait)
-        scheduler.submit("b", barrier.wait)
-        # the barrier only releases if both run at once; a serial
-        # scheduler would trip its timeout and the error would surface
-        for ticket in (scheduler.submit("a", lambda: None),):
-            assert ticket.wait(timeout=10.0)
-        assert scheduler.wait_idle(timeout=10.0)
+        assert scheduler.stats()["dispatched"] == 10
 
     def test_hot_tenant_cannot_starve_a_cold_one(self):
         """Tail re-entry: the cold key's single batch dispatches second,
         not after the hot key's whole backlog."""
-        scheduler = BatchScheduler(workers=1, record_dispatches=True,
-                                   start=False)
+        scheduler = BatchScheduler(start=False)
+        ran = []
         try:
             for _ in range(5):
-                scheduler.submit("hot", lambda: None)
-            scheduler.submit("cold", lambda: None)
+                scheduler.submit("hot", lambda: ran.append("hot"))
+            scheduler.submit("cold", lambda: ran.append("cold"))
             scheduler.start()
             assert scheduler.wait_idle(timeout=10.0)
-            assert scheduler.dispatch_log[0] == "hot"
-            assert scheduler.dispatch_log[1] == "cold"
-            assert scheduler.dispatch_log[2:] == ["hot"] * 4
+            assert ran == ["hot", "cold"] + ["hot"] * 4
         finally:
             scheduler.close()
 
@@ -104,7 +97,7 @@ class TestTickets:
         assert not ticket.done()
 
     def test_wait_idle_timeout_returns_false(self):
-        scheduler = BatchScheduler(workers=1, start=False)
+        scheduler = BatchScheduler(start=False)
         try:
             scheduler.submit("t", lambda: None)
             assert scheduler.wait_idle(timeout=0.05) is False
@@ -115,7 +108,7 @@ class TestTickets:
 
 class TestLifecycle:
     def test_close_fails_stranded_tickets(self):
-        scheduler = BatchScheduler(workers=1, start=False)
+        scheduler = BatchScheduler(start=False)
         tickets = [scheduler.submit("t", lambda: None) for _ in range(3)]
         scheduler.close()
         for ticket in tickets:
@@ -123,7 +116,7 @@ class TestLifecycle:
                 ticket.wait(timeout=10.0)
 
     def test_submit_after_close_refused(self):
-        scheduler = BatchScheduler(workers=1)
+        scheduler = BatchScheduler()
         scheduler.close()
         with pytest.raises(SchedulerClosedError):
             scheduler.submit("t", lambda: None)
@@ -137,17 +130,20 @@ class TestLifecycle:
             scheduler.submit("t", lambda: None)
         assert scheduler.wait_idle(timeout=10.0)
         stats = scheduler.stats()
-        assert stats == {"workers": 2, "queued": 0, "in_flight": 0,
+        assert stats == {"workers": 1, "queued": 0, "in_flight": 0,
                          "dispatched": 4}
 
     def test_wait_key_tracks_one_tenant(self, scheduler):
         release = threading.Event()
-        scheduler.submit("slow", lambda: release.wait(5.0))
         scheduler.submit("fast", lambda: None)
+        scheduler.submit("slow", lambda: release.wait(5.0))
+        scheduler.submit("late", lambda: None)      # queued behind slow
         assert scheduler.wait_key("fast", timeout=10.0)
         assert not scheduler.wait_key("slow", timeout=0.05)
+        assert not scheduler.wait_key("late", timeout=0.05)
         release.set()
         assert scheduler.wait_key("slow", timeout=10.0)
+        assert scheduler.wait_key("late", timeout=10.0)
 
 
 def spec_for(tenant, **overrides):
