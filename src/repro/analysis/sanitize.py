@@ -113,9 +113,11 @@ CONTRACTS: Dict[str, KernelContract] = {
         shapes=lambda grad, xp, weight, *_: (xp.shape, weight.shape)),
     "matmul": KernelContract(before=_contraction),
     "batchnorm_stats": KernelContract(
-        outputs=("out[mean]", "out[var]"),
-        shapes=lambda x: ((x.shape[1],) if x.ndim >= 2 else None,) * 2,
+        outputs=("out[mean]", "out[var]", "out[centered]"),
+        shapes=lambda x: ((x.shape[1],) if x.ndim >= 2 else None,) * 2
+        + (x.shape,),
         variance="out[var]"),
+    "relu": KernelContract(shapes=lambda x: (x.shape,)),
     # the argmax (second result) is an index array, not a value
     "max_pool2d_forward": KernelContract(outputs=("out",), shapes=_pooled),
     "max_pool2d_backward": KernelContract(

@@ -2,8 +2,8 @@
 
 The autograd substrate (:mod:`repro.tensor`) defines *what* the leaf ops
 compute; this package decides *how* they execute.  Every heavy kernel —
-conv2d forward/backward, matmul, batch-norm statistics, pooling — routes
-through the active :class:`~repro.engine.base.Backend`:
+conv2d forward/backward, matmul, batch-norm statistics, ReLU, pooling —
+routes through the active :class:`~repro.engine.base.Backend`:
 
 - :class:`~repro.engine.numpy_backend.NumpyBackend` — the default;
   convolution as an im2col gather plus one batched ``matmul`` per

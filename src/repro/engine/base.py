@@ -2,7 +2,7 @@
 
 A :class:`Backend` owns the handful of leaf kernels the paper's models
 actually spend their time in — convolution forward/backward, matmul,
-batch-norm statistics, pooling — operating on plain ``numpy.ndarray``
+batch-norm statistics, ReLU, pooling — operating on plain ``numpy.ndarray``
 inputs (the autograd layer in :mod:`repro.tensor` stays backend-agnostic
 and routes its heavy ops through the active backend).  A new kernel is
 declared on ``Backend`` and implemented in
@@ -71,8 +71,17 @@ class Backend(abc.ABC):
 
     # -- batch norm ----------------------------------------------------
     @abc.abstractmethod
-    def batchnorm_stats(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-channel ``(mean, biased var)`` over the (N, H, W) axes."""
+    def batchnorm_stats(self, x: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-channel ``(mean, biased var, centered)`` over the (N, H, W)
+        axes; ``centered`` is ``x - mean``, a fresh array in ``x``'s
+        memory order that the caller may overwrite."""
+
+    # -- activations ---------------------------------------------------
+    @abc.abstractmethod
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        """``max(x, 0)`` as a fresh array in ``x``'s memory order; NaN
+        and -0.0 map to +0.0 (``np.where(x > 0, x, 0)``)."""
 
     # -- pooling -------------------------------------------------------
     @abc.abstractmethod
@@ -99,10 +108,31 @@ class Backend(abc.ABC):
         """Spread ``grad / (kh*kw)`` uniformly back over each window."""
 
     # -- workspace -----------------------------------------------------
-    def pad_input(self, x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-        """Zero-pad spatial dims into an arena workspace (caller releases)."""
+    def pad_input(self, x: np.ndarray, ph: int, pw: int,
+                  kernel: Tuple[int, int], stride: Tuple[int, int]
+                  ) -> np.ndarray:
+        """Zero-pad the spatial dims of the input of a ``kernel``/``stride``
+        conv into an arena workspace.
+
+        The caller releases the workspace: the result's ``base`` when
+        the result is a view, else the result.  A channels-last ``x``
+        (NHWC in memory, as every conv output is) pads into an NHWC
+        workspace, returned as an NCHW-shaped view, so the copy runs in
+        one memory order — if the window and the output both span more
+        than one pixel on each axis, the case where the im2col operand
+        is laid out the same from either workspace.  Any other ``x``
+        pads into a C-order workspace.
+        """
         n, c, h, w = x.shape
-        buf = self.arena.acquire_zeros((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+        (kh, kw), (sh, sw) = kernel, stride
+        hp, wp = h + 2 * ph, w + 2 * pw
+        nhwc = x.transpose(0, 2, 3, 1)
+        if (nhwc.flags.c_contiguous and kh > 1 and kw > 1
+                and hp - kh >= sh and wp - kw >= sw):
+            buf = self.arena.acquire_zeros((n, hp, wp, c), x.dtype)
+            buf[:, ph:ph + h, pw:pw + w] = nhwc
+            return buf.transpose(0, 3, 1, 2)
+        buf = self.arena.acquire_zeros((n, c, hp, wp), x.dtype)
         buf[:, :, ph:ph + h, pw:pw + w] = x
         return buf
 

@@ -12,7 +12,11 @@ comparable perf trajectory.  Three workloads:
   the bulk of BN-Opt's adaptation overhead (Figs. 4/7/10);
 - ``bn_opt_step`` — one full TENT step (forward with BN statistics
   recompute, entropy backward, Adam update on gamma/beta) on a small
-  conv-BN stack, the paper's end-to-end unit of adaptation work.
+  conv-BN stack;
+- ``process_batch_<method>`` for no_adapt, bn_norm and bn_opt — one
+  :meth:`~repro.serve.session.AdaptationSession.process_batch` of a
+  randomly initialised tiny WRN-40-2 (batch 16, 16x16, guard off): the
+  paper's unit of cost, forward time = inference + adaptation.
 
 Timings are best-of-``repeats`` wall clock (median is also recorded);
 the arena's hit-rate over the measured iterations is reported per
@@ -130,6 +134,35 @@ def _bench_bn_opt_step(backend: Backend, batch: int, repeats: int,
         return _time(step, repeats)
 
 
+#: methods timed through ``AdaptationSession.process_batch``
+PROCESS_BATCH_METHODS = ("no_adapt", "bn_norm", "bn_opt")
+#: the fixed ``process_batch`` workload (independent of ``batch``/``size``)
+PROCESS_BATCH_WORKLOAD = {"model": "wrn40_2", "profile": "tiny",
+                          "batch": 16, "size": 16, "guard": False}
+
+
+def _bench_process_batch(backend: Backend, repeats: int,
+                         seed: int) -> Dict[str, Dict[str, float]]:
+    """Time one ``process_batch`` per method on its own fresh model."""
+    from repro.models.registry import build_model
+    from repro.nn import init as nn_init
+    from repro.serve.session import AdaptationSession
+    work = PROCESS_BATCH_WORKLOAD
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal(
+        (work["batch"], 3, work["size"], work["size"])).astype(np.float32)
+    labels = rng.integers(0, 10, work["batch"])
+    rows: Dict[str, Dict[str, float]] = {}
+    for method in PROCESS_BATCH_METHODS:
+        nn_init.seed(seed)
+        model = build_model(work["model"], profile=work["profile"])
+        session = AdaptationSession(model, method, guard=work["guard"])
+        with use_backend(backend), session:
+            rows[f"process_batch_{method}"] = _time(
+                lambda: session.process_batch(images, labels), repeats)
+    return rows
+
+
 def _bench_sweep(workers: int, seed: int) -> dict:
     """Time a small native adaptation grid serially vs in parallel.
 
@@ -204,6 +237,7 @@ def run_engine_bench(backends: Sequence[str] = ("numpy",),
                                            repeats, seed))
             entry["bn_opt_step"] = _bench_bn_opt_step(backend, batch,
                                                       repeats, seed)
+            entry.update(_bench_process_batch(backend, repeats, seed))
             stats = backend.arena_stats()
             entry["arena"] = {
                 "requests": stats.requests,
@@ -219,7 +253,8 @@ def run_engine_bench(backends: Sequence[str] = ("numpy",),
         "format": "repro.engine_bench",
         "version": BENCH_FORMAT_VERSION,
         "workload": {"batch": batch, "channels": channels, "size": size,
-                     "kernel": 3, "repeats": repeats, "seed": seed},
+                     "kernel": 3, "repeats": repeats, "seed": seed,
+                     "process_batch": dict(PROCESS_BATCH_WORKLOAD)},
         "host": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
@@ -266,6 +301,14 @@ def format_engine_bench(doc: dict) -> str:
             f"{entry['bn_opt_step']['best_s'] * 1e3:9.2f}ms"
             + (f"  arena {100 * entry['arena']['hit_rate']:.0f}% hit"
                if entry.get("arena", {}).get("requests") else ""))
+    header = f"{'process_batch':<14s}" + "".join(
+        f" {method:>10s}" for method in PROCESS_BATCH_METHODS)
+    lines.append(header)
+    lines.append("-" * len(header))
+    for name, entry in doc["backends"].items():
+        lines.append(f"{name:<14s}" + "".join(
+            f" {entry[f'process_batch_{method}']['best_s'] * 1e3:8.2f}ms"
+            for method in PROCESS_BATCH_METHODS))
     sweep = doc.get("sweep")
     if sweep:
         speedup = sweep.get("speedup_parallel_vs_serial")
@@ -303,8 +346,9 @@ def format_serving_section(serving: dict) -> str:
 # Perf-regression comparison (the CI gate behind ``bench --compare``)
 # ----------------------------------------------------------------------
 
-#: kernel metrics compared per backend (lower is better)
-_KERNEL_OPS = ("conv_forward", "conv_backward", "bn_opt_step")
+#: timed rows compared per backend (lower is better)
+_KERNEL_OPS = ("conv_forward", "conv_backward", "bn_opt_step") + tuple(
+    f"process_batch_{method}" for method in PROCESS_BATCH_METHODS)
 
 #: serving latency percentiles compared (lower is better)
 _SERVING_LATENCY_METRICS = ("p50", "p95", "p99")

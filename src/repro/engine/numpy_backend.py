@@ -25,7 +25,18 @@ einsum returned it — the forward output is the matmul's
 ``groups=1``), the weight gradient likewise.  Batch-norm statistics,
 global pooling and the BN backward reduce in memory order, so a layout
 change alone would move their rounding and, through them, a whole
-adaptation stream.
+adaptation stream.  The elementwise kernels (``relu``, the ``centered``
+result of ``batchnorm_stats``) keep their input's memory order.
+
+The padded input of a channels-last activation is an NHWC workspace
+viewed as NCHW (:meth:`~repro.engine.base.Backend.pad_input`).  The
+im2col operand does not change with it: :func:`_patch_layout` lays the
+operand out from the patch view's strides as einsum would, and where
+the window and the output span more than one pixel on each axis, the
+patch blocks interleave in memory from either workspace, so both give
+the C-order operand and the matmuls see the same bytes.  Elsewhere (a
+1x1 or 1-D window, a one-pixel output row or column) the two layouts
+can differ, and ``pad_input`` keeps the C-order workspace.
 
 Scratch memory comes from the arena: the padded-input copy, the im2col
 patches of the forward pass, and one backward workspace that holds the
@@ -210,9 +221,29 @@ class NumpyBackend(Backend):
         return a @ b
 
     # -- batch norm ----------------------------------------------------
-    def batchnorm_stats(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def batchnorm_stats(self, x: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # numpy's own _mean/_var sequence, so the results are byte-equal
+        # to x.mean(axes), x.var(axes) and x - mean: the sums reduce x
+        # (and the squares, laid out like x) in memory order, and divide
+        # by the count as an intp, as numpy does.  The mean and x - mean
+        # are computed once rather than once per statistic.
         axes = (0, 2, 3)
-        return x.mean(axis=axes), x.var(axis=axes)
+        count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
+        mean = np.add.reduce(x, axis=axes, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        centered = x - mean
+        var = np.add.reduce(centered * centered, axis=axes)
+        np.true_divide(var, count, out=var, casting="unsafe")
+        return mean.reshape(x.shape[1]), var, centered
+
+    # -- activations ---------------------------------------------------
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        # fmax maps NaN to 0 (where NaN > 0 is false); adding +0 turns
+        # the -0.0 that fmax may pass through into +0.0
+        out = np.fmax(x, 0)
+        out += 0
+        return out
 
     # -- pooling -------------------------------------------------------
     def max_pool2d_forward(self, x: np.ndarray, kernel: Tuple[int, int],

@@ -52,7 +52,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(
             f"weight expects {cig} in-channels/group but input has {c // groups}")
 
-    xp = backend.pad_input(x.data, ph, pw) if (ph or pw) else x.data
+    xp = (backend.pad_input(x.data, ph, pw, (kh, kw), (sh, sw))
+          if (ph or pw) else x.data)
+    # the arena buffer behind the padded input (a channels-last
+    # workspace comes back as an NCHW view of it)
+    workspace = None if xp is x.data else (
+        xp if xp.base is None else xp.base)
     out_data = backend.conv2d_forward(xp, weight.data, (sh, sw), groups)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, co, 1, 1)
@@ -71,13 +76,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if ph or pw:
                 dxp = dxp[:, :, ph:ph + h, pw:pw + w]
             out._send_grad(x, dxp)
-        if xp is not x.data:
-            backend.arena.release(xp)
+        if workspace is not None:
+            backend.arena.release(workspace)
 
     out = Tensor._from_op(out_data, parents, backward)
-    if not out.requires_grad and xp is not x.data:
+    if not out.requires_grad and workspace is not None:
         # No closure captured the padded workspace; recycle it now.
-        backend.arena.release(xp)
+        backend.arena.release(workspace)
     return out
 
 

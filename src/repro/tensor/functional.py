@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.engine import get_backend
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, records_graph
 
 
 def batch_norm_train(
@@ -43,11 +43,13 @@ def batch_norm_train(
     data = x.data
     axes = (0, 2, 3)
     m = data.shape[0] * data.shape[2] * data.shape[3]
-    # biased variance, matching PyTorch normalization
-    mean, var = get_backend().batchnorm_stats(data)
+    # biased variance, matching PyTorch normalization; ``centered`` is a
+    # fresh x - mean, scaled into xhat in place
+    mean, var, centered = get_backend().batchnorm_stats(data)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = np.multiply(centered, inv_std[None, :, None, None], out=centered)
+    gamma4 = gamma.data[None, :, None, None]
+    beta4 = beta.data[None, :, None, None]
 
     def backward(grad: np.ndarray) -> None:
         if gamma.requires_grad:
@@ -62,7 +64,13 @@ def batch_norm_train(
                   - xhat * mean_gx[None, :, None, None]) * inv_std[None, :, None, None]
             out._send_grad(x, dx)
 
-    out = Tensor._from_op(out_data, (x, gamma, beta), backward)
+    if records_graph((x, gamma, beta)):
+        out = Tensor._from_op(gamma4 * xhat + beta4, (x, gamma, beta),
+                              backward)
+    else:
+        # no backward reads xhat: the affine output reuses its buffer
+        np.multiply(gamma4, xhat, out=xhat)
+        out = Tensor(np.add(xhat, beta4, out=xhat))
     # Unbiased variance for the running buffer, as PyTorch stores it.
     unbiased = var * (m / max(m - 1, 1))
     return out, mean, unbiased

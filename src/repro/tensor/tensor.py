@@ -49,6 +49,12 @@ def is_grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
+def records_graph(parents: Iterable["Tensor"]) -> bool:
+    """Whether an op over ``parents`` records a graph node (grad mode is
+    on and some parent requires grad), i.e. whether its backward runs."""
+    return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -109,7 +115,7 @@ class Tensor:
         When autograd is disabled, or no parent requires grad, the result
         is a detached leaf.
         """
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+        requires = records_graph(parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -455,8 +461,12 @@ class Tensor:
     # Pointwise nonlinearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
+        """``max(x, 0)`` on the active backend; NaN maps to 0."""
+        from repro.engine.base import get_backend  # deferred, as in matmul
+        out_data = get_backend().relu(self.data)
+        if not records_graph((self,)):
+            return Tensor(out_data)
         mask = self.data > 0
-        out_data = np.where(mask, self.data, 0)
 
         def backward(grad: np.ndarray) -> None:
             out._send_grad(self, grad * mask)

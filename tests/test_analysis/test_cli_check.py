@@ -183,8 +183,13 @@ class TestSanitizeBackendFlag:
     def test_faulted_stream_prints_findings_and_exits_1(self, capsys):
         assert main(self.STREAM + ["--faults", "nan@0"]) == 1
         out = capsys.readouterr().out
-        assert "pad_input[call 0] x: nan" in out
-        assert "sanitizer: 6 finding(s)" in out
+        findings = [line for line in out.splitlines() if "[call " in line]
+        assert findings[0].startswith("pad_input[call 0] x: nan")
+        assert any(line.startswith(
+            "batchnorm_stats[call 0] out[centered]: nan") for line in findings)
+        assert any(line.startswith("relu[call 0] x: nan")
+                   for line in findings)
+        assert "sanitizer: 8 finding(s)" in out
 
     def test_clean_stream_reports_clean(self, capsys):
         assert main(self.STREAM) == 0

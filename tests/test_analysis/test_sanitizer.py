@@ -44,10 +44,11 @@ class TestCleanRunTransparency:
             a = xp.reshape(2, -1)
             assert np.array_equal(reference.matmul(a, a.T),
                                   sanitizer.matmul(a, a.T))
-            ref_mean, ref_var = reference.batchnorm_stats(xp)
-            san_mean, san_var = sanitizer.batchnorm_stats(xp)
-            assert np.array_equal(ref_mean, san_mean)
-            assert np.array_equal(ref_var, san_var)
+            ref_stats = reference.batchnorm_stats(xp)
+            san_stats = sanitizer.batchnorm_stats(xp)
+            assert len(san_stats) == 3      # mean, var, centered
+            for ref, san in zip(ref_stats, san_stats):
+                assert np.array_equal(ref, san)
             assert sanitizer.findings == []
         finally:
             reference.close()
@@ -140,13 +141,16 @@ class TestFaultAttribution:
 
     def test_negative_variance_is_a_range_finding(self):
         stats = (np.zeros(3, dtype=np.float32),
-                 np.array([0.5, -1.0, 2.0], dtype=np.float32))
+                 np.array([0.5, -1.0, 2.0], dtype=np.float32),
+                 np.zeros((4, 3, 2, 2), dtype=np.float32))
         sanitizer = SanitizerBackend(StubInner(batchnorm_stats=stats))
         sanitizer.batchnorm_stats(
             np.zeros((4, 3, 2, 2), dtype=np.float32))
+        assert len(sanitizer.findings) == 1
         ranged = [f for f in sanitizer.findings if f.kind == "range"]
         assert len(ranged) == 1
         assert ranged[0].op == "batchnorm_stats"
+        assert ranged[0].argument == "out[var]"
         assert "negative variance" in ranged[0].detail
 
 

@@ -134,12 +134,14 @@ class TestBackendAgreement:
 
     def test_batchnorm_stats_match(self):
         x = rand((16, 5, 6, 6), 10)
-        ref_mean, ref_var = NumpyBackend().batchnorm_stats(x.data)
+        ref_mean, ref_var, ref_centered = NumpyBackend().batchnorm_stats(
+            x.data)
         for backend in named_backends():
-            got_mean, got_var = backend.batchnorm_stats(x.data)
+            got_mean, got_var, got_centered = backend.batchnorm_stats(x.data)
             assert_clean(backend)
             np.testing.assert_array_equal(got_mean, ref_mean)
             np.testing.assert_array_equal(got_var, ref_var)
+            np.testing.assert_array_equal(got_centered, ref_centered)
 
     def test_pooling_matches(self):
         x = rand((16, 3, 8, 8), 11, requires_grad=True)

@@ -8,8 +8,9 @@ from repro.cli import main
 from repro.core import runner
 from repro.core.config import StudyConfig
 from repro.core.runner import _GRID_SUMMARY_CACHE, run_native_study
-from repro.engine.bench import (_bench_sweep, format_engine_bench,
-                                run_engine_bench, write_engine_bench)
+from repro.engine.bench import (PROCESS_BATCH_METHODS, _bench_sweep,
+                                format_engine_bench, run_engine_bench,
+                                write_engine_bench)
 from repro.engine.blas import blas_threads
 
 
@@ -29,6 +30,18 @@ class TestEngineBench:
                 assert entry[op]["best_s"] > 0
                 assert entry[op]["median_s"] >= entry[op]["best_s"]
             assert entry["arena"]["requests"] > 0
+
+    def test_process_batch_row_per_method(self, doc):
+        assert doc["workload"]["process_batch"] == {
+            "model": "wrn40_2", "profile": "tiny", "batch": 16, "size": 16,
+            "guard": False}
+        for entry in doc["backends"].values():
+            for method in PROCESS_BATCH_METHODS:
+                row = entry[f"process_batch_{method}"]
+                assert row["best_s"] > 0
+                assert row["median_s"] >= row["best_s"]
+        text = format_engine_bench(doc)
+        assert "process_batch" in text and "bn_opt" in text
 
     def test_format_is_renderable(self, doc):
         text = format_engine_bench(doc)

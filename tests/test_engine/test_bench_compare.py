@@ -2,12 +2,16 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.engine.bench import (BENCH_FORMAT_VERSION, compare_engine_bench,
+from repro.engine.bench import (BENCH_FORMAT_VERSION, PROCESS_BATCH_METHODS,
+                                compare_engine_bench,
                                 format_bench_comparison, run_engine_bench)
+
+COMMITTED_BASELINE = Path(__file__).resolve().parents[2] / "BENCH_engine.json"
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,21 @@ class TestCompareEngineBench:
         # kernels are still gated against a v1 baseline
         assert any(c["metric"].startswith("numpy/")
                    for c in comparison["checked"])
+
+    def test_process_batch_rows_skipped_against_committed_baseline(
+            self, bench_doc):
+        rows = [f"numpy/process_batch_{method}/best_s"
+                for method in PROCESS_BATCH_METHODS]
+        committed = json.loads(COMMITTED_BASELINE.read_text())
+        comparison = compare_engine_bench(bench_doc, committed,
+                                          tolerance_pct=40.0)
+        assert set(rows) <= set(comparison["skipped"])
+        checked = {c["metric"] for c in comparison["checked"]}
+        assert "numpy/conv_forward/best_s" in checked
+        # a baseline that has the rows gates them
+        gated = compare_engine_bench(bench_doc, bench_doc,
+                                     tolerance_pct=0.0)
+        assert set(rows) <= {c["metric"] for c in gated["checked"]}
 
     def test_document_version_is_3_with_sweep_section(self, bench_doc):
         assert BENCH_FORMAT_VERSION == 3

@@ -39,7 +39,8 @@ ARGS = {
     "avg_pool2d_forward": lambda: [_f32(11, 2, 3, 8, 8), (2, 2), (2, 2)],
     "avg_pool2d_backward": lambda: [_f32(12, 2, 3, 4, 4), (2, 3, 8, 8),
                                     (2, 2), (2, 2)],
-    "pad_input": lambda: [_f32(13, 2, 3, 8, 8), 1, 1],
+    "relu": lambda: [_f32(14, 2, 3, 8, 8)],
+    "pad_input": lambda: [_f32(13, 2, 3, 8, 8), 1, 1, (3, 3), (1, 1)],
 }
 
 #: kernel -> the names the sanitizer checks its results under
@@ -47,7 +48,8 @@ OUTPUTS = {
     "conv2d_forward": ("out",),
     "conv2d_backward": ("out[d_input]", "out[d_weight]"),
     "matmul": ("out",),
-    "batchnorm_stats": ("out[mean]", "out[var]"),
+    "batchnorm_stats": ("out[mean]", "out[var]", "out[centered]"),
+    "relu": ("out",),
     "max_pool2d_forward": ("out",),        # the argmax is an index array
     "max_pool2d_backward": ("out",),
     "avg_pool2d_forward": ("out",),
